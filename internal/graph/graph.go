@@ -13,8 +13,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable weighted undirected graph in CSR form.
@@ -148,10 +149,15 @@ func (g *Graph) ForEachEdgeID(fn func(e, u, v int, w float64)) {
 // Builder accumulates edges and produces an immutable Graph.
 // Parallel edges between the same vertex pair are merged by summing weights.
 //
-// Edges are buffered in a flat slice (24 bytes each, amortized) rather than a
-// hash map and deduplicated by a sort-then-merge pass inside Build, so
-// million-edge builds cost a fraction of the memory of the former
-// map[[2]int32]float64 accumulator; see BenchmarkBuilderLargeBuild.
+// Edges are buffered in a flat slice (16 bytes each, amortized) rather than a
+// hash map, so million-edge builds cost a fraction of the memory of a
+// map[[2]int32]float64 accumulator. Build is linear, O(n + L) for L added
+// edges: a stable counting sort by u, a per-vertex sort by v, then one merge
+// pass that writes the CSR arrays directly. Input that already arrives in
+// (u, v) order, as from ForEachEdge, skips the sort and its index array.
+// Parallel edges merge in insertion order, so the result is bit-identical to
+// a stable (u, v) sort followed by a merge; see BenchmarkBuilderLargeBuild
+// and BenchmarkBuildUnsorted.
 type Builder struct {
 	n     int
 	vwgt  []float64
@@ -260,62 +266,66 @@ func (b *Builder) Build() (*Graph, error) {
 	n := b.n
 	list := b.edges
 	b.edges = nil
-	// Stable, so parallel edges merge their weights in insertion order and
-	// the summed floats match the order-of-add accumulation exactly.
-	sort.SliceStable(list, func(i, j int) bool {
-		if list[i].u != list[j].u {
-			return list[i].u < list[j].u
+	g := &Graph{xadj: make([]int32, n+1), vwgt: b.vwgt, lwgt: b.lwgt}
+	idx := edgeOrder(list, g.xadj)
+	edge := func(i int) builderEdge {
+		if idx != nil {
+			return list[idx[i]]
 		}
-		return list[i].v < list[j].v
-	})
-	// Merge parallel edges in place: after the sort they are adjacent.
-	merged := list[:0]
-	for _, e := range list {
-		if k := len(merged); k > 0 && merged[k-1].u == e.u && merged[k-1].v == e.v {
-			merged[k-1].w += e.w
-			continue
-		}
-		merged = append(merged, e)
-	}
-	list = merged
-	m := len(list)
-
-	g := &Graph{
-		xadj:   make([]int32, n+1),
-		adjncy: make([]int32, 2*m),
-		adjwgt: make([]float64, 2*m),
-		arcEID: make([]int32, 2*m),
-		eu:     make([]int32, m),
-		ev:     make([]int32, m),
-		ewgt:   make([]float64, m),
-		vwgt:   b.vwgt,
-		lwgt:   b.lwgt,
+		return list[i]
 	}
 	for _, w := range g.lwgt {
 		g.totLW += w
 	}
-	deg := make([]int32, n)
-	for _, e := range list {
-		deg[e.u]++
-		deg[e.v]++
+	// Count the distinct edges (in (u, v) order parallel edges are adjacent)
+	// and each vertex's degree, shifted: deg(x) goes to xadj[x+2], so the
+	// prefix sum leaves xadj[x+1] at the start of x's arcs, the arc fill
+	// advances it to the end, and no cursor array is needed. The last
+	// vertex's degree starts no other vertex's arcs and is not stored.
+	m := 0
+	pu, pv := int32(-1), int32(-1)
+	for i := range list {
+		e := edge(i)
+		if e.u == pu && e.v == pv {
+			continue
+		}
+		pu, pv = e.u, e.v
+		m++
+		g.xadj[e.u+2]++ // u < v < n
+		if int(e.v) < n-1 {
+			g.xadj[e.v+2]++
+		}
 	}
-	for v := 0; v < n; v++ {
-		g.xadj[v+1] = g.xadj[v] + deg[v]
+	for v := 2; v <= n; v++ {
+		g.xadj[v] += g.xadj[v-1]
 	}
-	pos := make([]int32, n)
-	copy(pos, g.xadj[:n])
-	for id, e := range list {
-		g.eu[id], g.ev[id] = e.u, e.v
-		g.ewgt[id] = e.w
-		g.adjncy[pos[e.u]] = e.v
-		g.adjwgt[pos[e.u]] = e.w
-		g.arcEID[pos[e.u]] = int32(id)
-		pos[e.u]++
-		g.adjncy[pos[e.v]] = e.u
-		g.adjwgt[pos[e.v]] = e.w
-		g.arcEID[pos[e.v]] = int32(id)
-		pos[e.v]++
-		g.totW += e.w
+	g.adjncy = make([]int32, 2*m)
+	g.adjwgt = make([]float64, 2*m)
+	g.arcEID = make([]int32, 2*m)
+	g.eu = make([]int32, m)
+	g.ev = make([]int32, m)
+	g.ewgt = make([]float64, m)
+	// Merge each run of parallel edges into one edge id, summing its weights
+	// in insertion order, the float sum of adding them one by one.
+	id := -1
+	for i := range list {
+		e := edge(i)
+		if id >= 0 && g.eu[id] == e.u && g.ev[id] == e.v {
+			g.ewgt[id] += e.w
+			continue
+		}
+		id++
+		g.eu[id], g.ev[id], g.ewgt[id] = e.u, e.v, e.w
+	}
+	for id, w := range g.ewgt {
+		u, v := g.eu[id], g.ev[id]
+		a := g.xadj[u+1]
+		g.adjncy[a], g.adjwgt[a], g.arcEID[a] = v, w, int32(id)
+		g.xadj[u+1]++
+		a = g.xadj[v+1]
+		g.adjncy[a], g.adjwgt[a], g.arcEID[a] = u, w, int32(id)
+		g.xadj[v+1]++
+		g.totW += w
 	}
 	for _, w := range g.vwgt {
 		g.totVW += w
@@ -356,4 +366,63 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
+}
+
+// smallSort is the bucket length up to which insertion sort beats a
+// comparison sort; longer buckets (hubs, stars) take O(d log d).
+const smallSort = 32
+
+// edgeOrder returns the permutation that orders list by (u, v), keeping
+// parallel edges in insertion order so Build merges their weights as the
+// same float sum, or nil when one scan finds list already in that order.
+// It is a stable counting sort by u, then a sort of each u-bucket by
+// (v, index). xadj (len n+1, zeroed) is the counting scratch; it is zeroed
+// again on return.
+func edgeOrder(list []builderEdge, xadj []int32) []int32 {
+	sorted := true
+	for i := 1; i < len(list); i++ {
+		if p, e := list[i-1], list[i]; p.u > e.u || (p.u == e.u && p.v > e.v) {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return nil
+	}
+	// Counts are shifted as in Build: placing each index advances xadj[u+1]
+	// from the start of u's bucket to its end, so bucket u ends up spanning
+	// xadj[u]:xadj[u+1].
+	for _, e := range list {
+		xadj[e.u+2]++ // u < v < n
+	}
+	for u := 2; u < len(xadj); u++ {
+		xadj[u] += xadj[u-1]
+	}
+	idx := make([]int32, len(list))
+	for i, e := range list {
+		idx[xadj[e.u+1]] = int32(i)
+		xadj[e.u+1]++
+	}
+	for u := 0; u+1 < len(xadj); u++ {
+		if bucket := idx[xadj[u]:xadj[u+1]]; len(bucket) <= smallSort {
+			for i := 1; i < len(bucket); i++ {
+				x := bucket[i]
+				v := list[x].v
+				j := i
+				for ; j > 0 && list[bucket[j-1]].v > v; j-- {
+					bucket[j] = bucket[j-1]
+				}
+				bucket[j] = x
+			}
+		} else {
+			slices.SortFunc(bucket, func(a, b int32) int {
+				if c := cmp.Compare(list[a].v, list[b].v); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+	}
+	clear(xadj)
+	return idx
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // EdgeEdit is one edit in a graph mutation: add a new edge, remove an
@@ -85,8 +87,23 @@ func (g *Graph) WithEdits(edits []EdgeEdit) (*Graph, error) {
 		edited[k] = w
 	}
 
+	// Freshly added edges, sorted so they merge into the (u, v)-ordered
+	// ForEachEdge stream below and Build finds its input already in order.
+	var added []key
+	for k, w := range edited {
+		if _, ok := g.EdgeWeight(int(k.u), int(k.v)); w > 0 && !ok {
+			added = append(added, k)
+		}
+	}
+	slices.SortFunc(added, func(a, b key) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+
 	b := NewBuilder(n)
-	b.Reserve(g.NumEdges() + len(edited))
+	b.Reserve(g.NumEdges() + len(added))
 	for v := 0; v < n; v++ {
 		if w := g.VertexWeight(v); w != 1 {
 			b.SetVertexWeight(v, w)
@@ -96,20 +113,20 @@ func (g *Graph) WithEdits(edits []EdgeEdit) (*Graph, error) {
 		}
 	}
 	g.ForEachEdge(func(u, v int, w float64) {
+		for len(added) > 0 && (int(added[0].u) < u || (int(added[0].u) == u && int(added[0].v) < v)) {
+			b.AddEdge(int(added[0].u), int(added[0].v), edited[added[0]])
+			added = added[1:]
+		}
 		if ew, ok := edited[key{int32(u), int32(v)}]; ok {
 			if ew > 0 {
 				b.AddEdge(u, v, ew)
 			}
-			delete(edited, key{int32(u), int32(v)})
 			return
 		}
 		b.AddEdge(u, v, w)
 	})
-	// Whatever remains in the map is a freshly added edge.
-	for k, w := range edited {
-		if w > 0 {
-			b.AddEdge(int(k.u), int(k.v), w)
-		}
+	for _, k := range added {
+		b.AddEdge(int(k.u), int(k.v), edited[k])
 	}
 	return b.Build()
 }

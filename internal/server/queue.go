@@ -276,13 +276,15 @@ func (p *pool) run(j *job) {
 		}
 		return
 	}
+	// A metaheuristic interrupted by the deadline returns its best
+	// partition so far; serve it to the waiters but never cache it — a
+	// repeat of the request deserves the full budget. The entry goes in
+	// before finish wakes the waiters, so a client that repeats the request
+	// as soon as it has the reply finds it.
+	if j.key != "" && !res.Cancelled {
+		p.cache.add(j.key, res)
+	}
 	if j.finish(statusDone, res, nil) {
-		// A metaheuristic interrupted by the deadline returns its best
-		// partition so far; serve it to the waiters but never cache it —
-		// a repeat of the request deserves the full budget.
-		if j.key != "" && !res.Cancelled {
-			p.cache.add(j.key, res)
-		}
 		p.detach(j)
 		p.bump(&p.stats.Completed)
 	}

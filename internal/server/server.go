@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -29,6 +30,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	ff "repro"
@@ -186,12 +188,33 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// jsonBufs recycles response buffers across requests.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before it commits the status, so a body JSON cannot
+// represent (a non-finite objective, say) becomes a 500 with a JSON error
+// instead of the intended status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		what := "response"
+		if pr, ok := v.(partitionResponse); ok {
+			what = "result of job " + pr.JobID
+			if pr.JobID == "" {
+				what = "cached result"
+			}
+		}
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = enc.Encode(errorResponse{fmt.Sprintf("encoding %s: %v", what, err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
