@@ -192,8 +192,8 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	t := opt.TMax
 	cool := (opt.TMax - opt.TMin) / float64(opt.NbT)
 	for loop.Next() {
-		prevE := s.energy.energy(s.cur)
-		atom := chooseAtom(s.cur, s.r)
+		prevE := s.energyNow()
+		atom := s.chooseAtom()
 		if atom < 0 {
 			break
 		}
@@ -212,23 +212,22 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			}
 		} else {
 			kind = lawFusion
-			partner := choosePartner(s.cur, atom, tFrac, s.maxPartVW, s.r)
+			partner := s.choosePartner(atom, tFrac)
 			if partner < 0 {
 				continue // isolated atom: nothing to fuse with
 			}
-			merged := fuse(s.cur, atom, partner)
+			merged := s.fuse(atom, partner)
 			size = s.cur.PartSize(merged)
 			eject = s.laws.draw(kind, size, s.r.Float64())
-			for _, v := range selectEjections(s.cur, merged, eject) {
-				nfusion(s.cur, v, merged, s.maxPartVW)
+			for _, v := range s.selectEjections(merged, eject) {
+				s.nfusion(v, merged)
 			}
 			s.relaxAtoms(merged)
 		}
-		newE := s.energy.energy(s.cur)
+		newE := s.afterEvent(loop)
 		if !opt.DisableLawLearning {
 			s.laws.update(kind, size, eject, newE < prevE, opt.LawDelta)
 		}
-		s.afterEvent(loop)
 
 		t -= cool
 		if t <= opt.TMin {
@@ -240,6 +239,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			s.afterEvent(loop)
 			if !s.adoptForeign(loop) && s.bestOverall != nil {
 				s.cur.CopyFrom(s.bestOverall)
+				s.eFresh = false
 			}
 			t = opt.TMax
 		}
@@ -249,9 +249,11 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		// The search never visited exactly K atoms (tiny budgets): force
 		// the best overall partition to K parts and take that.
 		s.cur.CopyFrom(s.bestOverall)
+		s.eFresh = false
 		s.normalizeToK()
 		s.afterEvent(loop)
 	}
+	s.repairInfinite(loop)
 	loop.Finish()
 	best := s.bestAtK
 	res := &Result{
@@ -328,7 +330,7 @@ func sigmoidChoice(alpha, x, nBar float64) float64 {
 // simple fission, with no nucleon ejected"). It returns the new fragment's
 // part id, or -1 if the atom could not be split.
 func (s *search) doFission(atom, eject int, tFrac float64) int {
-	slot := fissionSplit(s.cur, atom, !s.opt.DisablePercolationFission, s.r)
+	slot := s.fissionSplit(atom)
 	if slot < 0 {
 		return -1
 	}
@@ -337,39 +339,19 @@ func (s *search) doFission(atom, eject int, tFrac float64) int {
 	if s.cur.PartSize(slot) > s.cur.PartSize(atom) {
 		src = slot
 	}
-	for _, v := range selectEjections(s.cur, src, eject) {
+	for _, v := range s.selectEjections(src, eject) {
 		if s.highEnergy(tFrac) {
 			// The nucleon strikes its best-connected atom and splits it.
-			target := strongestOtherAtom(s.cur, v)
+			target := s.strongestOtherAtom(v)
 			if target >= 0 && s.cur.PartSize(target) >= 2 {
-				fissionSplit(s.cur, target, !s.opt.DisablePercolationFission, s.r)
+				s.fissionSplit(target)
 			}
 		}
-		nfusion(s.cur, v, src, s.maxPartVW)
+		s.nfusion(v, src)
 	}
 	return slot
 }
 
 func (s *search) highEnergy(tFrac float64) bool {
 	return s.r.Float64() < tFrac
-}
-
-// strongestOtherAtom returns the part (different from v's) to which v is
-// most strongly connected, or -1.
-func strongestOtherAtom(p *partition.P, v int) int {
-	g := p.Graph()
-	own := p.Part(v)
-	best, bestW := -1, 0.0
-	seen := map[int]bool{}
-	for _, u := range g.Neighbors(v) {
-		b := p.Part(int(u))
-		if b == partition.Unassigned || b == own || seen[b] {
-			continue
-		}
-		seen[b] = true
-		if w := p.ConnectionToPart(v, b); w > bestW {
-			best, bestW = b, w
-		}
-	}
-	return best
 }

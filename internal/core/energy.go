@@ -19,10 +19,14 @@ import (
 //
 // The model is a thin binding-energy wrapper over the shared scoring layer
 // (internal/score): whole-molecule energies delegate to the smoothed
-// objective, per-move deltas to score.Delta. Fusion-fission bulk-mutates
-// and wholesale-replaces its molecule between delta queries (fissions,
-// merges, foreign adoptions), so the stateless score.Delta fits here where
-// a bound score.Tracker would be perpetually stale.
+// objective, per-move deltas to score.Delta. The event loop evaluates the
+// whole molecule once per event: both() takes the scaled energy and the
+// raw objective from one pass over the parts, and the next event's
+// "before" energy reuses that value. Measured on the airspace instance,
+// the pass is about 3% of the solve, so keeping per-part terms current
+// through every fission, merge and foreign adoption (a bound
+// score.Tracker) would buy little, and it would change the summation order
+// the pinned trajectories depend on.
 
 type energyModel struct {
 	obj    objective.Objective
@@ -56,6 +60,13 @@ func (e *energyModel) penalty(numAtoms int) float64 {
 // energy returns the scaled objective of p.
 func (e *energyModel) energy(p *partition.P) float64 {
 	return e.obj.EvaluateSmoothed(p, e.eps) * e.penalty(p.NumParts())
+}
+
+// both returns the scaled energy and the raw objective of p from one pass
+// over its parts, bit-identical to energy(p) and raw(p).
+func (e *energyModel) both(p *partition.P) (energy, raw float64) {
+	smoothed, raw := e.obj.EvaluateBoth(p, e.eps)
+	return smoothed * e.penalty(p.NumParts()), raw
 }
 
 // raw returns the unscaled, unsmoothed objective (for reporting).

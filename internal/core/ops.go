@@ -1,26 +1,67 @@
 package core
 
 import (
-	"math/rand"
-	"sort"
+	"slices"
 
-	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/percolation"
 	"repro/internal/rng"
 )
 
 // Structural operators of the fusion-fission method: atom selection, fusion
 // partner choice (by size, distance and temperature), percolation fission,
 // ejection of loosely bound nucleons, and nucleon reabsorption (nfusion).
+// They work on the search's current molecule through its reusable scratch,
+// so an event allocates nothing.
 
 // chooseAtom returns a uniformly random non-empty part id, or -1.
-func chooseAtom(p *partition.P, r *rand.Rand) int {
-	parts := p.NonEmptyParts()
-	if len(parts) == 0 {
+func (s *search) chooseAtom() int {
+	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
+	if len(s.parts) == 0 {
 		return -1
 	}
-	return parts[r.Intn(len(parts))]
+	return s.parts[s.r.Intn(len(s.parts))]
+}
+
+// nextStamp opens a fresh seen-set over part ids: a part b is in the set
+// once mark[b] equals the returned stamp.
+func (s *search) nextStamp() uint32 {
+	s.stamp++
+	if s.stamp == 0 { // wrapped: old marks could collide, so clear them
+		clear(s.mark)
+		s.stamp = 1
+	}
+	return s.stamp
+}
+
+// connectedParts sets connW[b] to the total weight of the edges between
+// part a and each part b it touches and returns those parts in ascending
+// order (valid until the next call). Each weight is summed in ascending
+// vertex order and then adjacency order, as partition.ConnectedParts sums
+// it.
+func (s *search) connectedParts(a int) []int {
+	p := s.cur
+	g := s.g
+	stamp := s.nextStamp()
+	touched := s.touched[:0]
+	s.members = p.AppendVerticesOf(s.members[:0], a)
+	for _, v := range s.members {
+		wts := g.Weights(int(v))
+		for i, u := range g.Neighbors(int(v)) {
+			b := p.Part(int(u))
+			if b == a || b == partition.Unassigned {
+				continue
+			}
+			if s.mark[b] != stamp {
+				s.mark[b] = stamp
+				s.connW[b] = 0
+				touched = append(touched, b)
+			}
+			s.connW[b] += wts[i]
+		}
+	}
+	slices.Sort(touched)
+	s.touched = touched
+	return touched
 }
 
 // choosePartner picks the atom to fuse with `atom`. The paper selects it
@@ -29,59 +70,51 @@ func chooseAtom(p *partition.P, r *rand.Rand) int {
 // weight (infinite when unconnected), so the selection probability is
 // proportional to the connection weight; high temperature tilts the draw
 // toward big partners (hot plasma fuses heavy nuclei more easily). Partners
-// whose combined weight would exceed maxVW are excluded (0 disables) so
-// that size-insensitive objectives cannot grow one giant atom.
-func choosePartner(p *partition.P, atom int, tFrac, maxVW float64, r *rand.Rand) int {
-	conn := p.ConnectedParts(atom)
+// whose combined weight would exceed maxPartVW are excluded so that
+// size-insensitive objectives cannot grow one giant atom. Candidates are
+// drawn in ascending part order, so the draw is deterministic by seed.
+func (s *search) choosePartner(atom int, tFrac float64) int {
+	p := s.cur
+	conn := s.connectedParts(atom)
 	if len(conn) == 0 {
 		return -1
 	}
 	ownVW := p.PartVertexWeight(atom)
-	meanSize := float64(p.Graph().NumVertices()) / float64(maxInt(1, p.NumParts()))
-	ids := make([]int, 0, len(conn))
-	weights := make([]float64, 0, len(conn))
-	for b, w := range conn {
-		if maxVW > 0 && ownVW+p.PartVertexWeight(b) > maxVW {
+	meanSize := float64(s.g.NumVertices()) / float64(max(1, p.NumParts()))
+	ids, weights := s.ids[:0], s.weights[:0]
+	for _, b := range conn {
+		if s.maxPartVW > 0 && ownVW+p.PartVertexWeight(b) > s.maxPartVW {
 			continue
 		}
 		ids = append(ids, b)
 		bias := 1 + tFrac*float64(p.PartSize(b))/meanSize
-		weights = append(weights, w*bias)
+		weights = append(weights, s.connW[b]*bias)
 	}
-	// Map iteration order is random; make the draw deterministic by seed.
-	sortPairs(ids, weights)
-	pick := rng.WeightedChoice(r, weights)
+	s.ids, s.weights = ids, weights
+	pick := rng.WeightedChoice(s.r, weights)
 	if pick < 0 {
 		return -1
 	}
 	return ids[pick]
 }
 
-func sortPairs(ids []int, weights []float64) {
-	for i := 1; i < len(ids); i++ {
-		id, w := ids[i], weights[i]
-		j := i - 1
-		for j >= 0 && ids[j] > id {
-			ids[j+1], weights[j+1] = ids[j], weights[j]
-			j--
-		}
-		ids[j+1], weights[j+1] = id, w
-	}
-}
-
 // fuse merges partner into atom and returns the merged part id.
-func fuse(p *partition.P, atom, partner int) int {
-	p.MergeParts(atom, partner)
+func (s *search) fuse(atom, partner int) int {
+	s.cur.MergeParts(atom, partner)
+	s.eFresh = false
 	return atom
 }
 
 // fissionSplit cuts the given atom in two with percolation (section 4.4):
 // two seeds are chosen as a farthest pair inside the atom's induced
-// subgraph and the liquids split it. Returns the new part id, or -1 if the
-// atom cannot be split. When usePercolation is false (ablation), the split
-// is a random balanced one.
-func fissionSplit(p *partition.P, atom int, usePercolation bool, r *rand.Rand) int {
-	members := p.VerticesOf(atom)
+// subgraph and the liquids split it (percolation.Splitter, which works on
+// the parent graph through a membership mask). Returns the new part id, or
+// -1 if the atom cannot be split. With DisablePercolationFission (ablation)
+// the split is a random one.
+func (s *search) fissionSplit(atom int) int {
+	p := s.cur
+	members := p.AppendVerticesOf(s.members[:0], atom)
+	s.members = members
 	if len(members) < 2 {
 		return -1
 	}
@@ -90,21 +123,15 @@ func fissionSplit(p *partition.P, atom int, usePercolation bool, r *rand.Rand) i
 		return -1
 	}
 	var side []int32
-	if usePercolation {
-		sub := graph.Induced(p.Graph(), members)
-		seeds := graph.FarthestPointSeeds(sub.G, r.Intn(len(members)), 2)
-		if len(seeds) < 2 {
-			// Disconnected or degenerate: split by component membership.
-			side = fallbackSplit(sub.G, len(members))
-		} else {
-			side = percolation.Bisect(sub.G, seeds[0], seeds[1])
+	if s.opt.DisablePercolationFission {
+		side = s.side[:len(members)]
+		for i := range side {
+			side[i] = int32(s.r.Intn(2))
 		}
 	} else {
-		side = make([]int32, len(members))
-		for i := range side {
-			side[i] = int32(r.Intn(2))
-		}
+		side = s.splitter.Split(members, s.r.Intn(len(members)))
 	}
+	s.eFresh = false
 	moved := 0
 	for i, v := range members {
 		if side[i] == 1 {
@@ -126,51 +153,45 @@ func pickSide(moved, atom, slot int) int {
 	return atom
 }
 
-// fallbackSplit separates the first connected component from the rest.
-func fallbackSplit(sub *graph.Graph, n int) []int32 {
-	comp, count := graph.Components(sub)
-	side := make([]int32, n)
-	if count < 2 {
-		for i := n / 2; i < n; i++ {
-			side[i] = 1
-		}
-		return side
-	}
-	for i, c := range comp {
-		if c != comp[0] {
-			side[i] = 1
-		}
-	}
-	return side
-}
-
 // selectEjections returns up to j vertices of the atom that are the most
 // loosely bound: smallest internal-minus-external connection, the nucleons
-// a nuclear event would spray out. Vertices are only ejected while the atom
-// keeps at least one member.
-func selectEjections(p *partition.P, atom, j int) []int {
-	members := p.VerticesOf(atom)
+// a nuclear event would spray out, loosest first. Vertices are only ejected
+// while the atom keeps at least one member. j is a law-drawn count of at
+// most maxEject, so the j loosest are kept by insertion into a short sorted
+// list instead of sorting every member. The result is valid until the next
+// call.
+func (s *search) selectEjections(atom, j int) []int {
+	p := s.cur
+	members := p.AppendVerticesOf(s.members[:0], atom)
+	s.members = members
 	if j <= 0 || len(members) <= 1 {
 		return nil
 	}
 	if j > len(members)-1 {
 		j = len(members) - 1
 	}
-	list := make([]ejectCand, 0, len(members))
-	g := p.Graph()
+	top := s.loosest[:0]
 	for _, v := range members {
 		internal := p.ConnectionToPart(int(v), atom)
-		external := g.WeightedDegree(int(v)) - internal
-		list = append(list, ejectCand{v: int(v), bind: internal - external, bound: external > 0})
-	}
-	sort.Slice(list, func(a, b int) bool { return list[a].looserThan(list[b]) })
-	out := make([]int, 0, j)
-	for _, s := range list {
-		if len(out) == j {
-			break
+		external := s.g.WeightedDegree(int(v)) - internal
+		c := ejectCand{v: int(v), bind: internal - external, bound: external > 0}
+		if len(top) == j {
+			if !c.looserThan(top[j-1]) {
+				continue
+			}
+			top = top[:j-1]
 		}
-		out = append(out, s.v)
+		top = append(top, c)
+		for i := len(top) - 1; i > 0 && top[i].looserThan(top[i-1]); i-- {
+			top[i], top[i-1] = top[i-1], top[i]
+		}
 	}
+	s.loosest = top
+	out := s.ejected[:0]
+	for _, c := range top {
+		out = append(out, c.v)
+	}
+	s.ejected = out
 	return out
 }
 
@@ -182,7 +203,8 @@ type ejectCand struct {
 }
 
 // looserThan orders candidates loosest-first, preferring nucleons with
-// external contacts, which can be reabsorbed meaningfully.
+// external contacts, which can be reabsorbed meaningfully. It is a strict
+// total order (ties fall to the vertex id).
 func (a ejectCand) looserThan(b ejectCand) bool {
 	if a.bound != b.bound {
 		return a.bound
@@ -195,27 +217,29 @@ func (a ejectCand) looserThan(b ejectCand) bool {
 
 // nfusion reabsorbs a free nucleon into the connected atom with the
 // strongest bond, excluding `exclude` (its previous atom) when another
-// option exists and skipping atoms already heavier than maxVW (0 disables
-// the cap). Returns the receiving part id.
-func nfusion(p *partition.P, v int, exclude int, maxVW float64) int {
-	g := p.Graph()
+// option exists and skipping atoms already heavier than maxPartVW. Returns
+// the receiving part id.
+func (s *search) nfusion(v int, exclude int) int {
+	p := s.cur
+	g := s.g
 	bestPart, bestW := -1, 0.0
-	var cands []int
-	seen := map[int]bool{}
+	stamp := s.nextStamp()
+	cands := s.cands[:0]
 	for _, u := range g.Neighbors(v) {
 		b := p.Part(int(u))
-		if b == partition.Unassigned || b == p.Part(v) || seen[b] {
+		if b == partition.Unassigned || b == p.Part(v) || s.mark[b] == stamp {
 			continue
 		}
-		seen[b] = true
+		s.mark[b] = stamp
 		cands = append(cands, b)
 	}
+	s.cands = cands
 	vw := g.VertexWeight(v)
 	for _, b := range cands {
 		if b == exclude && len(cands) > 1 {
 			continue
 		}
-		if maxVW > 0 && p.PartVertexWeight(b)+vw > maxVW {
+		if s.maxPartVW > 0 && p.PartVertexWeight(b)+vw > s.maxPartVW {
 			continue
 		}
 		if w := p.ConnectionToPart(v, b); w > bestW {
@@ -224,13 +248,27 @@ func nfusion(p *partition.P, v int, exclude int, maxVW float64) int {
 	}
 	if bestPart >= 0 && p.PartSize(p.Part(v)) > 1 {
 		p.Move(v, bestPart)
+		s.eFresh = false
 	}
 	return p.Part(v)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// strongestOtherAtom returns the part (different from v's) to which v is
+// most strongly connected, or -1.
+func (s *search) strongestOtherAtom(v int) int {
+	p := s.cur
+	own := p.Part(v)
+	best, bestW := -1, 0.0
+	stamp := s.nextStamp()
+	for _, u := range s.g.Neighbors(v) {
+		b := p.Part(int(u))
+		if b == partition.Unassigned || b == own || s.mark[b] == stamp {
+			continue
+		}
+		s.mark[b] = stamp
+		if w := p.ConnectionToPart(v, b); w > bestW {
+			best, bestW = b, w
+		}
 	}
-	return b
+	return best
 }

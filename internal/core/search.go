@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/partition"
+	"repro/internal/percolation"
 	"repro/internal/rng"
 )
 
@@ -23,6 +24,12 @@ type search struct {
 
 	energy *energyModel
 	cur    *partition.P
+	// curE caches the scaled energy of cur as afterEvent computed it; eFresh
+	// reports that cur has not changed since. Every mutation of cur clears
+	// eFresh, so an event's "before" energy is the previous event's "after"
+	// energy and the loop evaluates the objective once per event.
+	curE   float64
+	eFresh bool
 	// maxPartVW softly caps vertex-level flows into any single atom so
 	// that size-insensitive objectives (Cut) cannot grow one giant part;
 	// the sets must stay "of roughly equal size" (section 1).
@@ -32,7 +39,23 @@ type search struct {
 	bestOverallE float64
 	bestAtK      *partition.P // lowest raw objective among exactly-K states
 	bestAtKE     float64
+	bestAtKSnap  func() []int32 // bestAtK.Compact, bound once
 	bestPerK     map[int]float64
+
+	// Scratch reused by every event, so the loop allocates nothing.
+	splitter *percolation.Splitter
+	members  []int32     // vertices of the atom being operated on
+	parts    []int       // non-empty part ids
+	mark     []uint32    // per-part seen-set stamps (see nextStamp)
+	stamp    uint32      // the current seen-set's stamp
+	connW    []float64   // per-part connection weight (see connectedParts)
+	touched  []int       // parts with a current connW entry, ascending
+	ids      []int       // fusion partner candidates
+	weights  []float64   // and their draw weights
+	cands    []int       // nfusion candidate atoms
+	loosest  []ejectCand // selectEjections' running top j
+	ejected  []int       // selectEjections' result
+	side     []int32     // random fission sides (ablation)
 }
 
 func newSearch(g *graph.Graph, k int, opt Options) *search {
@@ -44,27 +67,55 @@ func newSearch(g *graph.Graph, k int, opt Options) *search {
 	if opt.Objective == objective.Cut {
 		capFactor = 1.3
 	}
+	n := g.NumVertices()
+	// Part slots: n, or the wider capacity of a caller's initial partition.
+	slots := n
+	if opt.Initial != nil && opt.Initial.Capacity() > n {
+		slots = opt.Initial.Capacity()
+	}
 	return &search{
 		g:            g,
 		k:            k,
 		opt:          opt,
 		r:            rng.New(opt.Seed),
-		laws:         newLaws(g.NumVertices()),
+		laws:         newLaws(n),
 		energy:       newEnergyModel(g, opt.Objective, k),
-		cur:          partition.New(g, g.NumVertices()),
+		cur:          partition.New(g, n),
 		maxPartVW:    capFactor * g.TotalVertexWeight() / float64(k),
 		bestOverallE: math.Inf(1),
 		bestAtKE:     math.Inf(1),
 		bestPerK:     make(map[int]float64),
+		splitter:     percolation.NewSplitter(g),
+		members:      make([]int32, 0, n+1), // +1: the Append* spare store
+		parts:        make([]int, 0, slots+1),
+		mark:         make([]uint32, slots),
+		connW:        make([]float64, slots),
+		touched:      make([]int, 0, slots),
+		ids:          make([]int, 0, slots),
+		weights:      make([]float64, 0, slots),
+		loosest:      make([]ejectCand, 0, maxEject),
+		ejected:      make([]int, 0, maxEject),
+		side:         make([]int32, n),
 	}
 }
 
-// afterEvent updates the incumbents and the trace from the current state.
-// The first state seen is always recorded, even at infinite energy (e.g.
-// K = n, where every exactly-K molecule is all singletons and Mcut/Ncut
-// diverge) — a nil incumbent must never survive a visit to a valid state.
-func (s *search) afterEvent(loop *engine.Loop) {
-	e := s.energy.energy(s.cur)
+// energyNow returns the scaled energy of the current molecule, reusing the
+// value afterEvent computed when the molecule has not changed since.
+func (s *search) energyNow() float64 {
+	if !s.eFresh {
+		s.curE, s.eFresh = s.energy.energy(s.cur), true
+	}
+	return s.curE
+}
+
+// afterEvent updates the incumbents and the trace from the current state
+// and returns its scaled energy. The first state seen is always recorded,
+// even at infinite energy (e.g. K = n, where every exactly-K molecule is
+// all singletons and Mcut/Ncut diverge) — a nil incumbent must never
+// survive a visit to a valid state.
+func (s *search) afterEvent(loop *engine.Loop) float64 {
+	e, raw := s.energy.both(s.cur)
+	s.curE, s.eFresh = e, true
 	if s.bestOverall == nil || e < s.bestOverallE {
 		s.bestOverallE = e
 		if s.bestOverall == nil {
@@ -74,7 +125,6 @@ func (s *search) afterEvent(loop *engine.Loop) {
 		}
 	}
 	kNow := s.cur.NumParts()
-	raw := s.energy.raw(s.cur)
 	if old, ok := s.bestPerK[kNow]; !ok || raw < old {
 		s.bestPerK[kNow] = raw
 	}
@@ -82,11 +132,13 @@ func (s *search) afterEvent(loop *engine.Loop) {
 		s.bestAtKE = raw
 		if s.bestAtK == nil {
 			s.bestAtK = s.cur.Clone()
+			s.bestAtKSnap = s.bestAtK.Compact
 		} else {
 			s.bestAtK.CopyFrom(s.cur)
 		}
-		loop.Improved(raw, s.bestAtK.Compact)
+		loop.Improved(raw, s.bestAtKSnap)
 	}
+	return e
 }
 
 // adoptForeign replaces the current molecule with a portfolio peer's
@@ -103,6 +155,7 @@ func (s *search) adoptForeign(loop *engine.Loop) bool {
 		return false
 	}
 	s.cur = p
+	s.eFresh = false
 	return true
 }
 
@@ -123,39 +176,38 @@ func (s *search) initialize(ctx context.Context) bool {
 		if poll.Due() {
 			return false
 		}
-		atom := chooseAtom(s.cur, s.r)
+		atom := s.chooseAtom()
 		if atom < 0 {
 			break
 		}
-		prevE := s.energy.energy(s.cur)
+		prevE := s.energyNow()
 		// Initialization heuristic: fuse while the atom is below the mean
 		// size, occasionally split clearly oversized atoms.
 		size := float64(s.cur.PartSize(atom))
 		if size > 2*nBar && s.cur.PartSize(atom) >= 2 && s.r.Float64() < 0.5 {
 			eject := s.laws.draw(lawFission, int(size), s.r.Float64())
-			slot := fissionSplit(s.cur, atom, !s.opt.DisablePercolationFission, s.r)
-			if slot >= 0 {
-				for _, v := range selectEjections(s.cur, atom, eject) {
-					nfusion(s.cur, v, atom, s.maxPartVW)
+			if s.fissionSplit(atom) >= 0 {
+				for _, v := range s.selectEjections(atom, eject) {
+					s.nfusion(v, atom)
 				}
 				if !s.opt.DisableLawLearning {
-					s.laws.update(lawFission, int(size), eject, s.energy.energy(s.cur) < prevE, s.opt.LawDelta)
+					s.laws.update(lawFission, int(size), eject, s.energyNow() < prevE, s.opt.LawDelta)
 				}
 			}
 			continue
 		}
-		partner := choosePartner(s.cur, atom, 0, s.maxPartVW, s.r)
+		partner := s.choosePartner(atom, 0)
 		if partner < 0 {
 			continue
 		}
-		merged := fuse(s.cur, atom, partner)
+		merged := s.fuse(atom, partner)
 		msize := s.cur.PartSize(merged)
 		eject := s.laws.draw(lawFusion, msize, s.r.Float64())
-		for _, v := range selectEjections(s.cur, merged, eject) {
-			nfusion(s.cur, v, merged, s.maxPartVW)
+		for _, v := range s.selectEjections(merged, eject) {
+			s.nfusion(v, merged)
 		}
 		if !s.opt.DisableLawLearning {
-			s.laws.update(lawFusion, msize, eject, s.energy.energy(s.cur) < prevE, s.opt.LawDelta)
+			s.laws.update(lawFusion, msize, eject, s.energyNow() < prevE, s.opt.LawDelta)
 		}
 	}
 	return true
@@ -171,35 +223,44 @@ func (s *search) relaxAtoms(atom int) {
 	if s.cur.PartSize(atom) == 0 {
 		return
 	}
-	for _, v32 := range s.cur.VerticesOf(atom) {
-		v := int(v32)
-		from := s.cur.Part(v)
-		if s.cur.PartSize(from) <= 1 {
+	s.members = s.cur.AppendVerticesOf(s.members[:0], atom)
+	for _, v := range s.members {
+		s.relaxNucleon(int(v))
+	}
+}
+
+// relaxNucleon moves v to the connected atom, below the soft weight cap,
+// whose move lowers the scaled energy the most, if any does, and reports
+// whether it moved. moveDelta makes each candidate O(deg v) instead of a
+// full objective evaluation.
+func (s *search) relaxNucleon(v int) bool {
+	from := s.cur.Part(v)
+	if from == partition.Unassigned || s.cur.PartSize(from) <= 1 {
+		return false
+	}
+	bestTo, bestDelta := -1, -1e-12
+	vw := s.g.VertexWeight(v)
+	stamp := s.nextStamp()
+	s.mark[from] = stamp
+	for _, u := range s.g.Neighbors(v) {
+		b := s.cur.Part(int(u))
+		if b == partition.Unassigned || s.mark[b] == stamp {
 			continue
 		}
-		// Candidate atoms: those v touches, below the soft weight cap.
-		// moveDelta makes each candidate O(deg v) instead of a full
-		// objective evaluation.
-		bestTo, bestDelta := -1, -1e-12
-		vw := s.g.VertexWeight(v)
-		seen := map[int]bool{from: true}
-		for _, u := range s.g.Neighbors(v) {
-			b := s.cur.Part(int(u))
-			if b == partition.Unassigned || seen[b] {
-				continue
-			}
-			seen[b] = true
-			if s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
-				continue
-			}
-			if d := s.energy.moveDelta(s.cur, v, from, b); d < bestDelta {
-				bestTo, bestDelta = b, d
-			}
+		s.mark[b] = stamp
+		if s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
+			continue
 		}
-		if bestTo >= 0 {
-			s.cur.Move(v, bestTo)
+		if d := s.energy.moveDelta(s.cur, v, from, b); d < bestDelta {
+			bestTo, bestDelta = b, d
 		}
 	}
+	if bestTo < 0 {
+		return false
+	}
+	s.cur.Move(v, bestTo)
+	s.eFresh = false
+	return true
 }
 
 // relaxAll sweeps every atom once with nucleon relaxation — the freezing-
@@ -210,28 +271,7 @@ func (s *search) relaxAll() {
 	for pass := 0; pass < 2; pass++ {
 		moved := false
 		for v := 0; v < s.g.NumVertices(); v++ {
-			from := s.cur.Part(v)
-			if from == partition.Unassigned || s.cur.PartSize(from) <= 1 {
-				continue
-			}
-			bestTo, bestDelta := -1, -1e-12
-			vw := s.g.VertexWeight(v)
-			seen := map[int]bool{from: true}
-			for _, u := range s.g.Neighbors(v) {
-				b := s.cur.Part(int(u))
-				if b == partition.Unassigned || seen[b] {
-					continue
-				}
-				seen[b] = true
-				if s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
-					continue
-				}
-				if d := s.energy.moveDelta(s.cur, v, from, b); d < bestDelta {
-					bestTo, bestDelta = b, d
-				}
-			}
-			if bestTo >= 0 {
-				s.cur.Move(v, bestTo)
+			if s.relaxNucleon(v) {
 				moved = true
 			}
 		}
@@ -246,7 +286,7 @@ func (s *search) relaxAll() {
 // largest atoms (k' < k).
 func (s *search) normalizeToK() {
 	for s.cur.NumParts() > s.k {
-		a, b := bestMergePair(s.cur)
+		a, b := s.bestMergePair()
 		if a < 0 {
 			// No connected pair (disconnected leftovers): merge the two
 			// smallest parts.
@@ -257,10 +297,12 @@ func (s *search) normalizeToK() {
 			a, b = parts[0], parts[1]
 		}
 		s.cur.MergeParts(a, b)
+		s.eFresh = false
 	}
 	for s.cur.NumParts() < s.k {
 		largest := -1
-		for _, a := range s.cur.NonEmptyParts() {
+		s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
+		for _, a := range s.parts {
 			if largest < 0 || s.cur.PartSize(a) > s.cur.PartSize(largest) {
 				largest = a
 			}
@@ -268,7 +310,7 @@ func (s *search) normalizeToK() {
 		if largest < 0 || s.cur.PartSize(largest) < 2 {
 			break
 		}
-		if fissionSplit(s.cur, largest, !s.opt.DisablePercolationFission, s.r) < 0 {
+		if s.fissionSplit(largest) < 0 {
 			break
 		}
 	}
@@ -276,18 +318,49 @@ func (s *search) normalizeToK() {
 
 // bestMergePair returns the connected pair of parts whose merge costs the
 // least objective increase per the connection weight — i.e. the pair with
-// the strongest mutual connection (smallest paper-distance).
-func bestMergePair(p *partition.P) (int, int) {
+// the strongest mutual connection (smallest paper-distance). Ties go to the
+// lowest (a, b).
+func (s *search) bestMergePair() (int, int) {
 	bestA, bestB, bestW := -1, -1, -1.0
-	for _, a := range p.NonEmptyParts() {
-		for b, w := range p.ConnectedParts(a) {
-			if b <= a {
-				continue
-			}
-			if w > bestW {
-				bestA, bestB, bestW = a, b, w
+	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
+	for _, a := range s.parts {
+		for _, b := range s.connectedParts(a) {
+			if b > a && s.connW[b] > bestW {
+				bestA, bestB, bestW = a, b, s.connW[b]
 			}
 		}
 	}
 	return bestA, bestB
+}
+
+// repairInfinite handles the runs whose every exactly-K molecule had a
+// part with a cut but no internal weight, so that the best one scores
+// Mcut = +Inf. Starting from that molecule, each such atom merges into the
+// atom it is most strongly connected to, the largest atoms are
+// percolation-split back to K, and every nucleon relaxes; afterEvent then
+// keeps the result if it is finite. Runs that end finite never get here.
+func (s *search) repairInfinite(loop *engine.Loop) {
+	if s.bestAtK == nil || !math.IsInf(s.bestAtKE, 1) {
+		return
+	}
+	s.cur.CopyFrom(s.bestAtK)
+	s.eFresh = false
+	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
+	for _, a := range s.parts {
+		if s.cur.PartSize(a) == 0 || s.cur.PartInternalOrdered(a) > 0 || s.cur.PartCut(a) == 0 {
+			continue
+		}
+		to, toW := -1, 0.0
+		for _, b := range s.connectedParts(a) {
+			if s.connW[b] > toW {
+				to, toW = b, s.connW[b]
+			}
+		}
+		if to >= 0 {
+			s.cur.MergeParts(to, a)
+		}
+	}
+	s.normalizeToK()
+	s.relaxAll()
+	s.afterEvent(loop)
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -333,13 +334,27 @@ func (p *P) EmptySlot() int {
 
 // NonEmptyParts returns the ids of all non-empty parts in increasing order.
 func (p *P) NonEmptyParts() []int {
-	out := make([]int, 0, p.nonEmpty)
-	for a := range p.size {
-		if p.size[a] > 0 {
-			out = append(out, a)
+	return p.AppendNonEmptyParts(make([]int, 0, p.nonEmpty+1))
+}
+
+// AppendNonEmptyParts appends the ids of all non-empty parts to dst in
+// increasing order and returns the extended slice: NonEmptyParts into a
+// buffer the caller reuses across calls.
+func (p *P) AppendNonEmptyParts(dst []int) []int {
+	// Branch-free: every slot id is stored at the write cursor, which only
+	// advances past non-empty ones, so the scan mispredicts no branch
+	// however the non-empty slots are spread. The room for nonEmpty ids
+	// plus one spare store is reserved up front.
+	dst = slices.Grow(dst, p.nonEmpty+1)
+	buf := dst[:cap(dst)]
+	k := len(dst)
+	for a, sz := range p.size {
+		buf[k] = a
+		if sz > 0 {
+			k++
 		}
 	}
-	return out
+	return dst[:k]
 }
 
 // MinInternalPart returns the non-empty part with the smallest internal
@@ -555,15 +570,28 @@ func (p *P) minCompositeScan(exclude int) int {
 	return int(uint32(mk))
 }
 
-// VerticesOf returns the vertices currently in part a.
+// VerticesOf returns the vertices currently in part a, in increasing order.
 func (p *P) VerticesOf(a int) []int32 {
-	out := make([]int32, 0, p.size[a])
+	return p.AppendVerticesOf(make([]int32, 0, p.size[a]+1), a)
+}
+
+// AppendVerticesOf appends the vertices of part a to dst in increasing
+// order and returns the extended slice: VerticesOf into a buffer the caller
+// reuses across calls.
+func (p *P) AppendVerticesOf(dst []int32, a int) []int32 {
+	// Branch-free, as in AppendNonEmptyParts: the cursor advances past the
+	// members only, and the room for them plus one spare store is reserved.
+	dst = slices.Grow(dst, int(p.size[a])+1)
+	buf := dst[:cap(dst)]
+	k := len(dst)
+	a32 := int32(a)
 	for v, pa := range p.part {
-		if int(pa) == a {
-			out = append(out, int32(v))
+		buf[k] = int32(v)
+		if pa == a32 {
+			k++
 		}
 	}
-	return out
+	return dst[:k]
 }
 
 // ConnectionToPart returns the total weight of edges from v to vertices of

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +151,43 @@ func TestVerticesOf(t *testing.T) {
 	vs := p.VerticesOf(1)
 	if len(vs) != 3 || vs[0] != 0 || vs[1] != 2 || vs[2] != 4 {
 		t.Fatalf("VerticesOf(1) = %v", vs)
+	}
+}
+
+// The Append forms extend a caller's buffer, whatever its length and spare
+// capacity, with exactly the ids a plain scan finds, in increasing order.
+func TestAppendFormsMatchScan(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(60)
+		capacity := 1 + r.Intn(2*n)
+		assign := make([]int32, n)
+		for v := range assign {
+			assign[v] = int32(r.Intn(capacity))
+		}
+		p := mustFrom(t, graph.Path(n), assign, capacity)
+		prefix := []int32{-7, -8}[:r.Intn(3)]
+		for a := 0; a < capacity; a++ {
+			want := append([]int32(nil), prefix...)
+			for v, pa := range assign {
+				if int(pa) == a {
+					want = append(want, int32(v))
+				}
+			}
+			dst := append(make([]int32, 0, len(prefix)+r.Intn(3)), prefix...)
+			if got := p.AppendVerticesOf(dst, a); !slices.Equal(got, want) {
+				t.Fatalf("AppendVerticesOf(%v, %d) = %v, want %v", prefix, a, got, want)
+			}
+		}
+		wantParts := []int{-1}
+		for a := 0; a < capacity; a++ {
+			if p.PartSize(a) > 0 {
+				wantParts = append(wantParts, a)
+			}
+		}
+		if got := p.AppendNonEmptyParts([]int{-1}); !slices.Equal(got, wantParts) {
+			t.Fatalf("AppendNonEmptyParts = %v, want %v", got, wantParts)
+		}
 	}
 }
 

@@ -27,7 +27,6 @@
 package percolation
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -141,7 +140,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			return nil, poll.Err()
 		}
 		for i := 0; i < k; i++ {
-			propagate(g, seeds[i], int32(i), color, false, logHalfMean, bonds[i])
+			propagate(g, seeds[i], int32(i), color, logHalfMean, bonds[i])
 		}
 		discount := make([]float64, k)
 		for i := 0; i < k; i++ {
@@ -265,13 +264,12 @@ func balancedGrowth(ctx context.Context, g *graph.Graph, seeds []int, logHalfMea
 	}
 
 	phases := []float64{1.15, 1.3, 1.5, 1.8, 2.2, 3, 5, math.Inf(1)}
+	var pq frontHeap // drained by every completed phase, so reused as is
 	for _, capFactor := range phases {
 		if claimedTotal >= g.TotalVertexWeight() {
 			break
 		}
 		capVW := capFactor * idealVW
-		pq := &growHeap{}
-		heap.Init(pq)
 		// Seed the queue with every frontier arc of every liquid.
 		for v := 0; v < n; v++ {
 			c := color[v]
@@ -282,25 +280,21 @@ func balancedGrowth(ctx context.Context, g *graph.Graph, seeds []int, logHalfMea
 			wts := g.Weights(v)
 			for i, u := range nbrs {
 				if color[u] < 0 {
-					heap.Push(pq, growItem{
-						v:    int(u),
-						c:    c,
-						bond: bondVal[v] + math.Log(wts[i]) - logHalfMean,
-					})
+					pq.push(front{v: u, c: c, bond: bondVal[v] + math.Log(wts[i]) - logHalfMean})
 				}
 			}
 		}
-		for pq.Len() > 0 {
+		for len(pq) > 0 {
 			// Cancellation abandons the growth mid-flood; the caller
 			// discards the partial coloring and returns ctx.Err().
 			if poll.Due() {
 				return color, bondVal
 			}
-			it := heap.Pop(pq).(growItem)
+			it := pq.pop()
 			if color[it.v] >= 0 {
 				continue
 			}
-			vw := g.VertexWeight(it.v)
+			vw := g.VertexWeight(int(it.v))
 			if claimedVW[it.c]+vw > capVW {
 				continue // this liquid is full for the current phase
 			}
@@ -308,40 +302,16 @@ func balancedGrowth(ctx context.Context, g *graph.Graph, seeds []int, logHalfMea
 			bondVal[it.v] = it.bond
 			claimedVW[it.c] += vw
 			claimedTotal += vw
-			nbrs := g.Neighbors(it.v)
-			wts := g.Weights(it.v)
+			nbrs := g.Neighbors(int(it.v))
+			wts := g.Weights(int(it.v))
 			for i, u := range nbrs {
 				if color[u] < 0 {
-					heap.Push(pq, growItem{
-						v:    int(u),
-						c:    it.c,
-						bond: it.bond + math.Log(wts[i]) - logHalfMean,
-					})
+					pq.push(front{v: u, c: it.c, bond: it.bond + math.Log(wts[i]) - logHalfMean})
 				}
 			}
 		}
 	}
 	return color, bondVal
-}
-
-type growItem struct {
-	v    int
-	c    int32
-	bond float64
-}
-
-type growHeap []growItem
-
-func (h growHeap) Len() int            { return len(h) }
-func (h growHeap) Less(i, j int) bool  { return h[i].bond > h[j].bond }
-func (h growHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *growHeap) Push(x interface{}) { *h = append(*h, x.(growItem)) }
-func (h *growHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // logDamping returns log(2 * mean edge weight), the per-hop log-domain
@@ -355,86 +325,35 @@ func logDamping(g *graph.Graph) float64 {
 }
 
 // propagate computes log-domain bonds from the seed by strongest-front
-// expansion. When free is true all vertices are traversable; otherwise the
-// liquid flows only through its own territory, though it can bond to (and
-// later claim) frontier vertices of any color. Unreached vertices get -Inf.
-func propagate(g *graph.Graph, seed int, self int32, color []int32, free bool, logHalfMean float64, bond []float64) {
+// expansion within the liquid's own territory: it can bond to (and later
+// claim) frontier vertices of any color, but flows on only through the seed,
+// its own color and unclaimed vertices. Unreached vertices get -Inf. The
+// free sweep of Bisect is Splitter.propagate.
+func propagate(g *graph.Graph, seed int, self int32, color []int32, logHalfMean float64, bond []float64) {
 	n := g.NumVertices()
 	done := make([]bool, n)
 	for v := 0; v < n; v++ {
 		bond[v] = math.Inf(-1)
 	}
-	pq := &bondHeap{}
-	heap.Init(pq)
-	heap.Push(pq, bondItem{v: seed, bond: 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(bondItem)
+	var pq frontHeap
+	pq.push(front{v: int32(seed)})
+	for len(pq) > 0 {
+		it := pq.pop()
 		if done[it.v] {
 			continue // a stronger front already claimed this vertex
 		}
 		done[it.v] = true
 		bond[it.v] = it.bond
 		// The liquid continues through this vertex only if it may flow here.
-		if it.v != seed && !free && color[it.v] != self && color[it.v] != -1 {
+		if int(it.v) != seed && color[it.v] != self && color[it.v] != -1 {
 			continue
 		}
-		nbrs := g.Neighbors(it.v)
-		wts := g.Weights(it.v)
+		nbrs := g.Neighbors(int(it.v))
+		wts := g.Weights(int(it.v))
 		for i, u := range nbrs {
 			if !done[u] {
-				heap.Push(pq, bondItem{
-					v:    int(u),
-					bond: it.bond + math.Log(wts[i]) - logHalfMean,
-				})
+				pq.push(front{v: u, bond: it.bond + math.Log(wts[i]) - logHalfMean})
 			}
 		}
 	}
-}
-
-type bondItem struct {
-	v    int
-	bond float64
-}
-
-type bondHeap []bondItem
-
-func (h bondHeap) Len() int            { return len(h) }
-func (h bondHeap) Less(i, j int) bool  { return h[i].bond > h[j].bond }
-func (h bondHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *bondHeap) Push(x interface{}) { *h = append(*h, x.(bondItem)) }
-func (h *bondHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Bisect splits the vertices of g into two sides grown from seedA and seedB
-// with a single free percolation sweep; it is the cutting primitive the
-// fusion-fission method uses to break an atom (section 4.4). Unreachable
-// vertices stay on side 0. The result is a 0/1 side per vertex.
-func Bisect(g *graph.Graph, seedA, seedB int) []int32 {
-	n := g.NumVertices()
-	side := make([]int32, n)
-	if seedA == seedB || n < 2 {
-		return side
-	}
-	color := make([]int32, n)
-	for v := range color {
-		color[v] = -1
-	}
-	color[seedA], color[seedB] = 0, 1
-	logHalfMean := logDamping(g)
-	bondA := make([]float64, n)
-	bondB := make([]float64, n)
-	propagate(g, seedA, 0, color, true, logHalfMean, bondA)
-	propagate(g, seedB, 1, color, true, logHalfMean, bondB)
-	for v := 0; v < n; v++ {
-		if bondB[v] > bondA[v] {
-			side[v] = 1
-		}
-	}
-	side[seedA], side[seedB] = 0, 1
-	return side
 }
