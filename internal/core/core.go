@@ -185,14 +185,15 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		return nil, ctx.Err()
 	}
 	s.normalizeToK()
-	s.afterEvent(loop)
+	// prevE is the scaled energy of the current molecule: each event's
+	// "before" energy is the previous event's "after" energy.
+	prevE := s.afterEvent(loop)
 
 	// Algorithm 1. Only the paper-specific event remains in the body: the
 	// engine loop owns budget, step cap and cancellation.
 	t := opt.TMax
 	cool := (opt.TMax - opt.TMin) / float64(opt.NbT)
 	for loop.Next() {
-		prevE := s.energyNow()
 		atom := s.chooseAtom()
 		if atom < 0 {
 			break
@@ -228,6 +229,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		if !opt.DisableLawLearning {
 			s.laws.update(kind, size, eject, newE < prevE, opt.LawDelta)
 		}
+		prevE = newE
 
 		t -= cool
 		if t <= opt.TMin {
@@ -237,10 +239,10 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			// incumbent wins over our own if one arrived.
 			s.relaxAll()
 			s.afterEvent(loop)
-			if !s.adoptForeign(loop) && s.bestOverall != nil {
+			if !s.adoptForeign(loop) {
 				s.cur.CopyFrom(s.bestOverall)
-				s.eFresh = false
 			}
+			prevE = s.energy.energy(s.cur)
 			t = opt.TMax
 		}
 	}
@@ -249,7 +251,6 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		// The search never visited exactly K atoms (tiny budgets): force
 		// the best overall partition to K parts and take that.
 		s.cur.CopyFrom(s.bestOverall)
-		s.eFresh = false
 		s.normalizeToK()
 		s.afterEvent(loop)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
@@ -33,37 +31,6 @@ func (s *search) nextStamp() uint32 {
 	return s.stamp
 }
 
-// connectedParts sets connW[b] to the total weight of the edges between
-// part a and each part b it touches and returns those parts in ascending
-// order (valid until the next call). Each weight is summed in ascending
-// vertex order and then adjacency order, as partition.ConnectedParts sums
-// it.
-func (s *search) connectedParts(a int) []int {
-	p := s.cur
-	g := s.g
-	stamp := s.nextStamp()
-	touched := s.touched[:0]
-	s.members = p.AppendVerticesOf(s.members[:0], a)
-	for _, v := range s.members {
-		wts := g.Weights(int(v))
-		for i, u := range g.Neighbors(int(v)) {
-			b := p.Part(int(u))
-			if b == a || b == partition.Unassigned {
-				continue
-			}
-			if s.mark[b] != stamp {
-				s.mark[b] = stamp
-				s.connW[b] = 0
-				touched = append(touched, b)
-			}
-			s.connW[b] += wts[i]
-		}
-	}
-	slices.Sort(touched)
-	s.touched = touched
-	return touched
-}
-
 // choosePartner picks the atom to fuse with `atom`. The paper selects it
 // "according to its size, its distance to the first one, and temperature":
 // the distance between two atoms is the inverse of the connecting edge
@@ -75,7 +42,7 @@ func (s *search) connectedParts(a int) []int {
 // drawn in ascending part order, so the draw is deterministic by seed.
 func (s *search) choosePartner(atom int, tFrac float64) int {
 	p := s.cur
-	conn := s.connectedParts(atom)
+	conn := s.conn.Of(p, atom)
 	if len(conn) == 0 {
 		return -1
 	}
@@ -88,7 +55,7 @@ func (s *search) choosePartner(atom int, tFrac float64) int {
 		}
 		ids = append(ids, b)
 		bias := 1 + tFrac*float64(p.PartSize(b))/meanSize
-		weights = append(weights, s.connW[b]*bias)
+		weights = append(weights, s.conn.W[b]*bias)
 	}
 	s.ids, s.weights = ids, weights
 	pick := rng.WeightedChoice(s.r, weights)
@@ -101,7 +68,6 @@ func (s *search) choosePartner(atom int, tFrac float64) int {
 // fuse merges partner into atom and returns the merged part id.
 func (s *search) fuse(atom, partner int) int {
 	s.cur.MergeParts(atom, partner)
-	s.eFresh = false
 	return atom
 }
 
@@ -131,7 +97,6 @@ func (s *search) fissionSplit(atom int) int {
 	} else {
 		side = s.splitter.Split(members, s.r.Intn(len(members)))
 	}
-	s.eFresh = false
 	moved := 0
 	for i, v := range members {
 		if side[i] == 1 {
@@ -248,7 +213,6 @@ func (s *search) nfusion(v int, exclude int) int {
 	}
 	if bestPart >= 0 && p.PartSize(p.Part(v)) > 1 {
 		p.Move(v, bestPart)
-		s.eFresh = false
 	}
 	return p.Part(v)
 }

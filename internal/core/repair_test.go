@@ -70,6 +70,23 @@ func TestAirspaceSweepFinite(t *testing.T) {
 	}
 }
 
+// At K = n every exactly-K molecule is all singletons, so Mcut is +Inf by
+// construction; the run must still return the singleton partition rather
+// than attempt a repair that cannot succeed.
+func TestPartitionKEqualsN(t *testing.T) {
+	g := graph.Grid2D(4, 4)
+	res, err := Partition(g, 16, Options{Seed: 1, MaxSteps: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best.NumParts() != 16 {
+		t.Fatalf("NumParts = %d, want 16", res.Best.NumParts())
+	}
+	if !math.IsInf(res.Energy, 1) {
+		t.Fatalf("Mcut = %g, want +Inf for all singletons", res.Energy)
+	}
+}
+
 // The search's per-part scratch is sized for the widest partition it can
 // hold: an initial partition may carry more slots than vertices.
 func TestInitialPartitionWiderThanGraph(t *testing.T) {

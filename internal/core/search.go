@@ -24,12 +24,6 @@ type search struct {
 
 	energy *energyModel
 	cur    *partition.P
-	// curE caches the scaled energy of cur as afterEvent computed it; eFresh
-	// reports that cur has not changed since. Every mutation of cur clears
-	// eFresh, so an event's "before" energy is the previous event's "after"
-	// energy and the loop evaluates the objective once per event.
-	curE   float64
-	eFresh bool
 	// maxPartVW softly caps vertex-level flows into any single atom so
 	// that size-insensitive objectives (Cut) cannot grow one giant part;
 	// the sets must stay "of roughly equal size" (section 1).
@@ -44,18 +38,17 @@ type search struct {
 
 	// Scratch reused by every event, so the loop allocates nothing.
 	splitter *percolation.Splitter
-	members  []int32     // vertices of the atom being operated on
-	parts    []int       // non-empty part ids
-	mark     []uint32    // per-part seen-set stamps (see nextStamp)
-	stamp    uint32      // the current seen-set's stamp
-	connW    []float64   // per-part connection weight (see connectedParts)
-	touched  []int       // parts with a current connW entry, ascending
-	ids      []int       // fusion partner candidates
-	weights  []float64   // and their draw weights
-	cands    []int       // nfusion candidate atoms
-	loosest  []ejectCand // selectEjections' running top j
-	ejected  []int       // selectEjections' result
-	side     []int32     // random fission sides (ablation)
+	members  []int32               // vertices of the atom being operated on
+	parts    []int                 // non-empty part ids
+	mark     []uint32              // per-part seen-set stamps (see nextStamp)
+	stamp    uint32                // the current seen-set's stamp
+	conn     partition.Connections // parts an atom touches, with weights
+	ids      []int                 // fusion partner candidates
+	weights  []float64             // and their draw weights
+	cands    []int                 // nfusion candidate atoms
+	loosest  []ejectCand           // selectEjections' running top j
+	ejected  []int                 // selectEjections' result
+	side     []int32               // random fission sides (ablation)
 }
 
 func newSearch(g *graph.Graph, k int, opt Options) *search {
@@ -86,26 +79,15 @@ func newSearch(g *graph.Graph, k int, opt Options) *search {
 		bestAtKE:     math.Inf(1),
 		bestPerK:     make(map[int]float64),
 		splitter:     percolation.NewSplitter(g),
-		members:      make([]int32, 0, n+1), // +1: the Append* spare store
-		parts:        make([]int, 0, slots+1),
+		members:      make([]int32, 0, n),
+		parts:        make([]int, 0, slots),
 		mark:         make([]uint32, slots),
-		connW:        make([]float64, slots),
-		touched:      make([]int, 0, slots),
 		ids:          make([]int, 0, slots),
 		weights:      make([]float64, 0, slots),
 		loosest:      make([]ejectCand, 0, maxEject),
 		ejected:      make([]int, 0, maxEject),
 		side:         make([]int32, n),
 	}
-}
-
-// energyNow returns the scaled energy of the current molecule, reusing the
-// value afterEvent computed when the molecule has not changed since.
-func (s *search) energyNow() float64 {
-	if !s.eFresh {
-		s.curE, s.eFresh = s.energy.energy(s.cur), true
-	}
-	return s.curE
 }
 
 // afterEvent updates the incumbents and the trace from the current state
@@ -115,7 +97,6 @@ func (s *search) energyNow() float64 {
 // survive a visit to a valid state.
 func (s *search) afterEvent(loop *engine.Loop) float64 {
 	e, raw := s.energy.both(s.cur)
-	s.curE, s.eFresh = e, true
 	if s.bestOverall == nil || e < s.bestOverallE {
 		s.bestOverallE = e
 		if s.bestOverall == nil {
@@ -155,7 +136,6 @@ func (s *search) adoptForeign(loop *engine.Loop) bool {
 		return false
 	}
 	s.cur = p
-	s.eFresh = false
 	return true
 }
 
@@ -172,6 +152,20 @@ func (s *search) initialize(ctx context.Context) bool {
 	poll := engine.NewPoll(ctx, 64)
 	nBar := float64(n) / float64(s.k)
 	maxSteps := 8 * n // generous: each fusion removes an atom
+	// Law learning compares the energy after each event with the energy
+	// before it, which is the energy after the previous event.
+	learn := !s.opt.DisableLawLearning
+	var prevE float64
+	if learn {
+		prevE = s.energy.energy(s.cur)
+	}
+	learnFrom := func(kind lawKind, size, eject int) {
+		if learn {
+			e := s.energy.energy(s.cur)
+			s.laws.update(kind, size, eject, e < prevE, s.opt.LawDelta)
+			prevE = e
+		}
+	}
 	for step := 0; step < maxSteps && s.cur.NumParts() > s.k; step++ {
 		if poll.Due() {
 			return false
@@ -180,7 +174,6 @@ func (s *search) initialize(ctx context.Context) bool {
 		if atom < 0 {
 			break
 		}
-		prevE := s.energyNow()
 		// Initialization heuristic: fuse while the atom is below the mean
 		// size, occasionally split clearly oversized atoms.
 		size := float64(s.cur.PartSize(atom))
@@ -190,9 +183,7 @@ func (s *search) initialize(ctx context.Context) bool {
 				for _, v := range s.selectEjections(atom, eject) {
 					s.nfusion(v, atom)
 				}
-				if !s.opt.DisableLawLearning {
-					s.laws.update(lawFission, int(size), eject, s.energyNow() < prevE, s.opt.LawDelta)
-				}
+				learnFrom(lawFission, int(size), eject)
 			}
 			continue
 		}
@@ -206,9 +197,7 @@ func (s *search) initialize(ctx context.Context) bool {
 		for _, v := range s.selectEjections(merged, eject) {
 			s.nfusion(v, merged)
 		}
-		if !s.opt.DisableLawLearning {
-			s.laws.update(lawFusion, msize, eject, s.energyNow() < prevE, s.opt.LawDelta)
-		}
+		learnFrom(lawFusion, msize, eject)
 	}
 	return true
 }
@@ -259,7 +248,6 @@ func (s *search) relaxNucleon(v int) bool {
 		return false
 	}
 	s.cur.Move(v, bestTo)
-	s.eFresh = false
 	return true
 }
 
@@ -297,7 +285,6 @@ func (s *search) normalizeToK() {
 			a, b = parts[0], parts[1]
 		}
 		s.cur.MergeParts(a, b)
-		s.eFresh = false
 	}
 	for s.cur.NumParts() < s.k {
 		largest := -1
@@ -324,9 +311,9 @@ func (s *search) bestMergePair() (int, int) {
 	bestA, bestB, bestW := -1, -1, -1.0
 	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
 	for _, a := range s.parts {
-		for _, b := range s.connectedParts(a) {
-			if b > a && s.connW[b] > bestW {
-				bestA, bestB, bestW = a, b, s.connW[b]
+		for _, b := range s.conn.Of(s.cur, a) {
+			if b > a && s.conn.W[b] > bestW {
+				bestA, bestB, bestW = a, b, s.conn.W[b]
 			}
 		}
 	}
@@ -338,22 +325,24 @@ func (s *search) bestMergePair() (int, int) {
 // Mcut = +Inf. Starting from that molecule, each such atom merges into the
 // atom it is most strongly connected to, the largest atoms are
 // percolation-split back to K, and every nucleon relaxes; afterEvent then
-// keeps the result if it is finite. Runs that end finite never get here.
+// keeps the result if it is finite. Runs that end finite never get here,
+// nor do cancelled runs, which reply at once, nor K = n, where every
+// exactly-K molecule is all singletons and no repair can help.
 func (s *search) repairInfinite(loop *engine.Loop) {
-	if s.bestAtK == nil || !math.IsInf(s.bestAtKE, 1) {
+	if s.bestAtK == nil || !math.IsInf(s.bestAtKE, 1) ||
+		loop.Cancelled() || s.k >= s.g.NumVertices() {
 		return
 	}
 	s.cur.CopyFrom(s.bestAtK)
-	s.eFresh = false
 	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
 	for _, a := range s.parts {
 		if s.cur.PartSize(a) == 0 || s.cur.PartInternalOrdered(a) > 0 || s.cur.PartCut(a) == 0 {
 			continue
 		}
 		to, toW := -1, 0.0
-		for _, b := range s.connectedParts(a) {
-			if s.connW[b] > toW {
-				to, toW = b, s.connW[b]
+		for _, b := range s.conn.Of(s.cur, a) {
+			if s.conn.W[b] > toW {
+				to, toW = b, s.conn.W[b]
 			}
 		}
 		if to >= 0 {

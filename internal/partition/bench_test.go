@@ -62,10 +62,11 @@ func BenchmarkCloneAndCopyFrom(b *testing.B) {
 	}
 }
 
-func BenchmarkConnectedParts(b *testing.B) {
+func BenchmarkConnections(b *testing.B) {
 	p, _ := benchPartition(b, 8)
+	var c Connections
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ConnectedParts(i % 8)
+		c.Of(p, i%8)
 	}
 }

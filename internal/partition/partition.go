@@ -334,27 +334,19 @@ func (p *P) EmptySlot() int {
 
 // NonEmptyParts returns the ids of all non-empty parts in increasing order.
 func (p *P) NonEmptyParts() []int {
-	return p.AppendNonEmptyParts(make([]int, 0, p.nonEmpty+1))
+	return p.AppendNonEmptyParts(make([]int, 0, p.nonEmpty))
 }
 
 // AppendNonEmptyParts appends the ids of all non-empty parts to dst in
 // increasing order and returns the extended slice: NonEmptyParts into a
 // buffer the caller reuses across calls.
 func (p *P) AppendNonEmptyParts(dst []int) []int {
-	// Branch-free: every slot id is stored at the write cursor, which only
-	// advances past non-empty ones, so the scan mispredicts no branch
-	// however the non-empty slots are spread. The room for nonEmpty ids
-	// plus one spare store is reserved up front.
-	dst = slices.Grow(dst, p.nonEmpty+1)
-	buf := dst[:cap(dst)]
-	k := len(dst)
 	for a, sz := range p.size {
-		buf[k] = a
 		if sz > 0 {
-			k++
+			dst = append(dst, a)
 		}
 	}
-	return dst[:k]
+	return dst
 }
 
 // MinInternalPart returns the non-empty part with the smallest internal
@@ -572,26 +564,20 @@ func (p *P) minCompositeScan(exclude int) int {
 
 // VerticesOf returns the vertices currently in part a, in increasing order.
 func (p *P) VerticesOf(a int) []int32 {
-	return p.AppendVerticesOf(make([]int32, 0, p.size[a]+1), a)
+	return p.AppendVerticesOf(make([]int32, 0, p.size[a]), a)
 }
 
 // AppendVerticesOf appends the vertices of part a to dst in increasing
 // order and returns the extended slice: VerticesOf into a buffer the caller
 // reuses across calls.
 func (p *P) AppendVerticesOf(dst []int32, a int) []int32 {
-	// Branch-free, as in AppendNonEmptyParts: the cursor advances past the
-	// members only, and the room for them plus one spare store is reserved.
-	dst = slices.Grow(dst, int(p.size[a])+1)
-	buf := dst[:cap(dst)]
-	k := len(dst)
 	a32 := int32(a)
 	for v, pa := range p.part {
-		buf[k] = int32(v)
 		if pa == a32 {
-			k++
+			dst = append(dst, int32(v))
 		}
 	}
-	return dst[:k]
+	return dst
 }
 
 // ConnectionToPart returns the total weight of edges from v to vertices of
@@ -608,23 +594,57 @@ func (p *P) ConnectionToPart(v, a int) float64 {
 	return total
 }
 
-// ConnectedParts returns, for part a, the map of neighboring part id to the
-// total weight of edges between a and that part.
-func (p *P) ConnectedParts(a int) map[int]float64 {
-	out := make(map[int]float64)
+// Connections finds the parts a given part shares edges with and the
+// total weight of those edges. Its scratch is reused across calls, so once
+// it has grown to a partition's capacity a query allocates nothing. The
+// zero value is ready to use.
+type Connections struct {
+	// W[b] is the weight between the part last passed to Of and part b,
+	// for each b Of returned.
+	W     []float64
+	parts []int
+	mark  []uint32 // mark[b] == stamp: b is already in parts
+	stamp uint32
+}
+
+// Of returns the parts other than a (and not Unassigned) joined to part a by
+// at least one edge, in increasing order, and sets W for each. Each weight
+// is summed in increasing vertex order, then adjacency order. The slice is
+// valid until the next call.
+func (c *Connections) Of(p *P, a int) []int {
+	if len(c.mark) < len(p.size) {
+		c.W = make([]float64, len(p.size))
+		c.mark = make([]uint32, len(p.size))
+		c.stamp = 0
+	}
+	c.stamp++
+	if c.stamp == 0 { // wrapped: old marks could collide, so clear them
+		clear(c.mark)
+		c.stamp = 1
+	}
+	parts := c.parts[:0]
+	a32 := int32(a)
 	for v, pa := range p.part {
-		if int(pa) != a {
+		if pa != a32 {
 			continue
 		}
-		nbrs := p.g.Neighbors(v)
 		wts := p.g.Weights(v)
-		for i, u := range nbrs {
-			if b := int(p.part[u]); b != a && b != Unassigned {
-				out[b] += wts[i]
+		for i, u := range p.g.Neighbors(v) {
+			b := p.part[u]
+			if b == a32 || b == Unassigned {
+				continue
 			}
+			if c.mark[b] != c.stamp {
+				c.mark[b] = c.stamp
+				c.W[b] = 0
+				parts = append(parts, int(b))
+			}
+			c.W[b] += wts[i]
 		}
 	}
-	return out
+	slices.Sort(parts)
+	c.parts = parts
+	return parts
 }
 
 // Assignment returns a copy of the per-vertex part ids.

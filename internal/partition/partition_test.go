@@ -113,9 +113,50 @@ func TestConnectionAndConnectedParts(t *testing.T) {
 	if c := p.ConnectionToPart(2, 2); c != 1 {
 		t.Fatalf("ConnectionToPart(2,2) = %g", c)
 	}
-	cp := p.ConnectedParts(1)
-	if len(cp) != 2 || cp[0] != 1 || cp[2] != 1 {
-		t.Fatalf("ConnectedParts(1) = %v", cp)
+	var c Connections
+	if cp := c.Of(p, 1); !slices.Equal(cp, []int{0, 2}) || c.W[0] != 1 || c.W[2] != 1 {
+		t.Fatalf("Connections.Of(1) = %v, W = %v", cp, c.W)
+	}
+}
+
+// Connections.Of matches a map built by a plain scan, part for part and bit
+// for bit, while one Connections is reused across partitions of growing
+// capacity.
+func TestConnectionsMatchScan(t *testing.T) {
+	r := rng.New(9)
+	var c Connections
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + r.Intn(50)
+		g := graph.RandomGeometric(n, 0.3, int64(trial))
+		capacity := 1 + r.Intn(2*n)
+		assign := make([]int32, n)
+		for v := range assign {
+			assign[v] = int32(r.Intn(capacity))
+		}
+		p := mustFrom(t, g, assign, capacity)
+		for a := 0; a < capacity; a++ {
+			want := map[int]float64{}
+			for v, pa := range assign {
+				if int(pa) != a {
+					continue
+				}
+				wts := g.Weights(v)
+				for i, u := range g.Neighbors(v) {
+					if b := int(assign[u]); b != a {
+						want[b] += wts[i]
+					}
+				}
+			}
+			got := c.Of(p, a)
+			if len(got) != len(want) || !slices.IsSorted(got) {
+				t.Fatalf("trial %d: Of(%d) = %v, want the parts of %v", trial, a, got, want)
+			}
+			for _, b := range got {
+				if w, ok := want[b]; !ok || c.W[b] != w {
+					t.Fatalf("trial %d: W[%d] = %g for part %d, want %g", trial, b, c.W[b], a, w)
+				}
+			}
+		}
 	}
 }
 
