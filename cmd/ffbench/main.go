@@ -270,10 +270,7 @@ func runMemeticBench(k int, seed int64, budget time.Duration, parallelism int, j
 		fmt.Printf("instance: RandomGeometric(10000, 0.02, seed 1): %d vertices, %d edges; k = %d, seed = %d, budget %s, width %d\n\n",
 			g.NumVertices(), g.NumEdges(), k, seed, budget, parallelism)
 	}
-	spec, err := experiments.MethodByName("Genetic algorithm")
-	if err != nil {
-		fatal(err)
-	}
+	spec, _ := experiments.MethodByID("genetic") // a registered id: the lookup cannot fail
 	base := experiments.RunConfig{
 		Objective: objective.MCut, Budget: budget, MaxSteps: 1 << 30,
 		Seed: seed, Parallelism: parallelism,

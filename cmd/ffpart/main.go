@@ -67,8 +67,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range ff.Methods() {
-			fmt.Println(id)
+		for _, m := range ff.MethodInfos() {
+			fmt.Println(m.ID)
 		}
 		return
 	}

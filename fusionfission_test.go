@@ -123,23 +123,25 @@ func TestFacadeKValidation(t *testing.T) {
 			}
 		})
 	}
-	// Normalize must reject an invalid K too, so cache keys are never built
-	// for requests the solvers would refuse.
-	if _, err := Normalize(Options{K: 0}); err == nil {
-		t.Fatal("Normalize accepted K=0")
+	// Normalize must reject invalid values too, so cache keys are never
+	// built for requests the solvers would refuse. Parallelism: negative and
+	// absurd widths are mistakes, not requests (every worker is a full
+	// concurrent solver instance). A negative Budget would read as "no time
+	// limit" in the solver loop, and a negative MaxSteps would run the method
+	// default under a cache key distinct from MaxSteps 0.
+	for _, bad := range []Options{
+		{K: 0},
+		{K: -1},
+		{K: 2, Parallelism: -1},
+		{K: 2, Parallelism: MaxParallelism + 1},
+		{K: 2, Budget: -1},
+		{K: 2, MaxSteps: -5},
+	} {
+		if _, err := Normalize(bad); err == nil {
+			t.Errorf("Normalize accepted %+v", bad)
+		}
 	}
-	if _, err := Normalize(Options{K: -1}); err == nil {
-		t.Fatal("Normalize accepted K=-1")
-	}
-	// Parallelism: negative and absurd widths are mistakes, not requests
-	// (every worker is a full concurrent solver instance); 0 normalizes to
-	// the serial width 1 so equivalent requests build identical cache keys.
-	if _, err := Normalize(Options{K: 2, Parallelism: -1}); err == nil {
-		t.Fatal("Normalize accepted Parallelism=-1")
-	}
-	if _, err := Normalize(Options{K: 2, Parallelism: MaxParallelism + 1}); err == nil {
-		t.Fatalf("Normalize accepted Parallelism=%d", MaxParallelism+1)
-	}
+	// 0 normalizes to the serial width 1.
 	if o, err := Normalize(Options{K: 2}); err != nil || o.Parallelism != 1 {
 		t.Fatalf("zero Parallelism normalized to %d (err %v), want 1", o.Parallelism, err)
 	}

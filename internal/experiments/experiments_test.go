@@ -81,12 +81,32 @@ func TestTable1ShapeMetaheuristicsWinMcut(t *testing.T) {
 	}
 }
 
-func TestMethodByName(t *testing.T) {
-	if _, err := MethodByName("Fusion Fission"); err != nil {
-		t.Fatal(err)
+// mustMethod returns the spec registered under id.
+func mustMethod(tb testing.TB, id string) MethodSpec {
+	tb.Helper()
+	spec, ok := MethodByID(id)
+	if !ok {
+		tb.Fatalf("no method %q", id)
 	}
-	if _, err := MethodByName("nope"); err == nil {
-		t.Fatal("unknown method accepted")
+	return spec
+}
+
+func TestMethodByID(t *testing.T) {
+	if spec := mustMethod(t, "fusion-fission"); spec.Name != "Fusion Fission" {
+		t.Fatalf("fusion-fission resolves to %q", spec.Name)
+	}
+	if spec := mustMethod(t, "genetic"); spec.Name != "Genetic algorithm" {
+		t.Fatalf("genetic resolves to %q", spec.Name)
+	}
+	if _, ok := MethodByID("Fusion Fission"); ok {
+		t.Fatal("row label accepted as an id")
+	}
+	seen := map[string]bool{}
+	for _, m := range append(Methods, ExtensionMethods...) {
+		if m.ID == "" || seen[m.ID] {
+			t.Fatalf("method %q: empty or duplicate id %q", m.Name, m.ID)
+		}
+		seen[m.ID] = true
 	}
 }
 

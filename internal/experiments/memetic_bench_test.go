@@ -30,11 +30,7 @@ import (
 
 func geneticRun(tb testing.TB, g *graph.Graph, k int, cfg RunConfig) float64 {
 	tb.Helper()
-	spec, err := MethodByName("Genetic algorithm")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	res, err := spec.Run(context.Background(), g, k, cfg)
+	res, err := mustMethod(tb, "genetic").Run(context.Background(), g, k, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -106,10 +102,7 @@ func TestWriteMemeticBaseline(t *testing.T) {
 	doc.MemeticMean = memSum / 5
 
 	// Determinism of the memetic portfolio under a step cap (width > 1).
-	spec, err := MethodByName("Genetic algorithm")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := mustMethod(t, "genetic")
 	compose := func() ([]int32, float64) {
 		res, err := spec.Run(context.Background(), g, k, RunConfig{
 			Objective: objective.MCut, MaxSteps: 3, Seed: 1,
@@ -198,10 +191,7 @@ func TestMemeticBenchSmoke(t *testing.T) {
 func TestMemeticPortfolioDeterministic(t *testing.T) {
 	g := graph.RandomGeometric(600, 0.07, 2)
 	const k = 8
-	spec, err := MethodByName("Genetic algorithm")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := mustMethod(t, "genetic")
 	run := func() []int32 {
 		res, err := spec.Run(context.Background(), g, k, RunConfig{
 			Objective: objective.MCut, MaxSteps: 4, Seed: 3,

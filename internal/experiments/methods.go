@@ -56,9 +56,9 @@ type RunConfig struct {
 	// MemeticCrossover switches the genetic algorithm's crossover to the
 	// cut-protecting V-cycle recombination of internal/memetic (offspring
 	// floor-guaranteed never worse than the better parent). Takes precedence
-	// over Multilevel for the GA — memetic recombination is its multilevel
-	// mode. Ignored by methods whose MethodSpec does not mark Memetic
-	// support.
+	// over Multilevel — memetic recombination is the GA's multilevel mode.
+	// Only methods whose MethodSpec marks Memetic support recombine; the
+	// facade clears the flag for the rest.
 	MemeticCrossover bool
 	// Monitor optionally receives live progress (steps, best objective,
 	// workers); used by the server's job-polling endpoint.
@@ -98,8 +98,12 @@ type RunResult struct {
 	Hierarchy *vcycle.Stats
 }
 
-// MethodSpec describes one Table 1 row.
+// MethodSpec describes one partitioning method: a Table 1 row or an
+// extension. Methods and ExtensionMethods are the repository's only method
+// registry; the facade derives its ids, labels and capabilities from them.
 type MethodSpec struct {
+	// ID is the stable kebab-case identifier the facade accepts.
+	ID string
 	// Name is the row label, matching the paper's abbreviations.
 	Name string
 	// Metaheuristic marks the rows that target a specific objective and
@@ -107,8 +111,7 @@ type MethodSpec struct {
 	Metaheuristic bool
 	// Multilevel marks the metaheuristics that can run inside the V-cycle
 	// driver (RunConfig.Multilevel). The classical multilevel rows are their
-	// own multilevel scheme and the ensemble manages its own workers, so
-	// neither carries the flag.
+	// own multilevel scheme and do not carry the flag.
 	Multilevel bool
 	// Memetic marks the methods that honour RunConfig.MemeticCrossover
 	// (currently the genetic algorithm only).
@@ -123,92 +126,83 @@ type MethodSpec struct {
 
 // Methods lists the Table 1 rows in the paper's order.
 var Methods = []MethodSpec{
-	{Name: "Linear (Bi)", Run: runLinear(2, false)},
-	{Name: "Linear (Bi, KL)", Run: runLinear(2, true)},
-	{Name: "Linear (Oct, KL)", Run: runLinear(8, true)},
-	{Name: "Spectral (Lanc, Bi)", Run: runSpectral(spectral.Lanczos, 2, false)},
-	{Name: "Spectral (Lanc, Bi, KL)", Run: runSpectral(spectral.Lanczos, 2, true)},
-	{Name: "Spectral (Lanc, Oct)", Run: runSpectral(spectral.Lanczos, 8, false)},
-	{Name: "Spectral (Lanc, Oct, KL)", Run: runSpectral(spectral.Lanczos, 8, true)},
-	{Name: "Spectral (RQI, Bi)", Run: runSpectral(spectral.RQI, 2, false)},
-	{Name: "Spectral (RQI, Bi, KL)", Run: runSpectral(spectral.RQI, 2, true)},
-	{Name: "Spectral (RQI, Oct)", Run: runSpectral(spectral.RQI, 8, false)},
-	{Name: "Spectral (RQI, Oct, KL)", Run: runSpectral(spectral.RQI, 8, true)},
-	{Name: "Multilevel (Bi)", Run: runMultilevel(2)},
-	{Name: "Multilevel (Oct)", Run: runMultilevel(8)},
-	{Name: "Percolation", Run: runPercolation},
-	{Name: "Simulated annealing", Metaheuristic: true, Multilevel: true, Run: runAnneal},
-	{Name: "Ant colony", Metaheuristic: true, Multilevel: true, Run: runAntColony},
-	{Name: "Fusion Fission", Metaheuristic: true, Multilevel: true, Run: runFusionFission},
+	{ID: "linear-bi", Name: "Linear (Bi)", Run: runLinear(2, false)},
+	{ID: "linear-bi-kl", Name: "Linear (Bi, KL)", Run: runLinear(2, true)},
+	{ID: "linear-oct-kl", Name: "Linear (Oct, KL)", Run: runLinear(8, true)},
+	{ID: "spectral-lanc-bi", Name: "Spectral (Lanc, Bi)", Run: runSpectral(spectral.Lanczos, 2, false)},
+	{ID: "spectral-lanc-bi-kl", Name: "Spectral (Lanc, Bi, KL)", Run: runSpectral(spectral.Lanczos, 2, true)},
+	{ID: "spectral-lanc-oct", Name: "Spectral (Lanc, Oct)", Run: runSpectral(spectral.Lanczos, 8, false)},
+	{ID: "spectral-lanc-oct-kl", Name: "Spectral (Lanc, Oct, KL)", Run: runSpectral(spectral.Lanczos, 8, true)},
+	{ID: "spectral-rqi-bi", Name: "Spectral (RQI, Bi)", Run: runSpectral(spectral.RQI, 2, false)},
+	{ID: "spectral-rqi-bi-kl", Name: "Spectral (RQI, Bi, KL)", Run: runSpectral(spectral.RQI, 2, true)},
+	{ID: "spectral-rqi-oct", Name: "Spectral (RQI, Oct)", Run: runSpectral(spectral.RQI, 8, false)},
+	{ID: "spectral-rqi-oct-kl", Name: "Spectral (RQI, Oct, KL)", Run: runSpectral(spectral.RQI, 8, true)},
+	{ID: "multilevel-bi", Name: "Multilevel (Bi)", Run: runMultilevel(2)},
+	{ID: "multilevel-oct", Name: "Multilevel (Oct)", Run: runMultilevel(8)},
+	{ID: "percolation", Name: "Percolation", Run: runPercolation},
+	// Annealing moves are cheap, so workers exchange on a coarse cadence.
+	{ID: "annealing", Name: "Simulated annealing", Metaheuristic: true, Multilevel: true,
+		Run: metaheuristic{syncEvery: 16_384, solve: annealSolve}.run},
+	// One step is a whole colony iteration: exchange often.
+	{ID: "ant-colony", Name: "Ant colony", Metaheuristic: true, Multilevel: true,
+		Run: metaheuristic{syncEvery: 32, solve: antColonySolve}.run},
+	// Fusion-fission needs a part slot per vertex so atoms can split freely.
+	{ID: "fusion-fission", Name: "Fusion Fission", Metaheuristic: true, Multilevel: true,
+		Run: metaheuristic{syncEvery: 1024, slotPerVertex: true, solve: fusionFissionSolve}.run},
 }
 
 // ExtensionMethods lists partitioners beyond the paper's Table 1: the
-// remaining Chaco-style baselines, the direct k-way multilevel scheme, the
-// genetic-algorithm metaheuristic the paper's introduction cites as prior
-// work, and the parallel fusion-fission ensemble. They never appear in the
-// Table 1 reproduction, only through the facade and the ablation benches.
+// remaining Chaco-style baselines, the direct k-way multilevel scheme and
+// the genetic-algorithm metaheuristic the paper's introduction cites as
+// prior work. They never appear in the Table 1 reproduction, only through
+// the facade and the ablation benches.
 var ExtensionMethods = []MethodSpec{
-	{Name: "Random", Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
+	{ID: "random", Name: "Random", Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, err
 		}
 		p, err := linear.Random(g, k, cfg.Seed)
 		return serial(p), err
 	}},
-	{Name: "Scattered", Run: func(ctx context.Context, g *graph.Graph, k int, _ RunConfig) (RunResult, error) {
+	{ID: "scattered", Name: "Scattered", Run: func(ctx context.Context, g *graph.Graph, k int, _ RunConfig) (RunResult, error) {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, err
 		}
 		p, err := linear.Scattered(g, k)
 		return serial(p), err
 	}},
-	{Name: "Multilevel (KWay)", Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
+	{ID: "multilevel-kway", Name: "Multilevel (KWay)", Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
 		p, err := multilevel.PartitionKWayContext(ctx, g, k, multilevel.Options{Seed: cfg.Seed})
 		return serial(p), err
 	}},
-	{Name: "Genetic algorithm", Metaheuristic: true, Multilevel: true, Memetic: true, Run: runGenetic},
-	{Name: "Fusion Fission (ensemble)", Metaheuristic: true, Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-		init, err := warmInitial(g, cfg, g.NumVertices())
-		if err != nil {
-			return RunResult{}, err
-		}
-		res, err := core.EnsembleContext(ctx, g, k, core.EnsembleOptions{Base: core.Options{
-			Objective: cfg.Objective, Budget: cfg.Budget, MaxSteps: stepsOr(cfg.MaxSteps, 2_000_000), Seed: cfg.Seed,
-			Initial: init,
-		}})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{P: res.Best, Partial: res.Cancelled, Workers: 1}, nil
-	}},
+	// One step is a whole generation: exchange often.
+	{ID: "genetic", Name: "Genetic algorithm", Metaheuristic: true, Multilevel: true, Memetic: true,
+		Run: metaheuristic{syncEvery: 4, solve: geneticSolve}.run},
 }
 
-// MethodByName returns the spec with the given row label, searching the
-// Table 1 rows first and the extensions second.
-func MethodByName(name string) (MethodSpec, error) {
-	for _, m := range Methods {
-		if m.Name == name {
-			return m, nil
+// MethodByID returns the spec with the given id, searching the Table 1 rows
+// first and the extensions second.
+func MethodByID(id string) (MethodSpec, bool) {
+	for _, group := range [][]MethodSpec{Methods, ExtensionMethods} {
+		for _, m := range group {
+			if m.ID == id {
+				return m, true
+			}
 		}
 	}
-	for _, m := range ExtensionMethods {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return MethodSpec{}, fmt.Errorf("experiments: unknown method %q", name)
+	return MethodSpec{}, false
 }
 
 func serial(p *partition.P) RunResult { return RunResult{P: p, Workers: 1} }
 
 // portfolio runs solve as a cfg.Parallelism-wide engine portfolio (serial
 // for widths <= 1, bit-identical to a direct call) and reduces the workers'
-// results to the deterministic winner. syncEvery is the incumbent-exchange
-// cadence in the solver's own step unit.
-func portfolio[R any](ctx context.Context, cfg RunConfig, syncEvery int,
-	energy func(R) float64,
-	solve func(ctx context.Context, rt *engine.Runtime, seed int64) (R, error),
-) (R, int, error) {
+// outcomes to the deterministic winner under energy. syncEvery is the
+// incumbent-exchange cadence in the solver's own step unit.
+func portfolio(ctx context.Context, cfg RunConfig, syncEvery int,
+	energy func(workerOutcome) float64,
+	solve func(ctx context.Context, rt *engine.Runtime, seed int64) (workerOutcome, error),
+) (workerOutcome, int, error) {
 	workers := cfg.Parallelism
 	if workers < 1 {
 		workers = 1
@@ -222,16 +216,59 @@ func portfolio[R any](ctx context.Context, cfg RunConfig, syncEvery int,
 	}, energy, solve)
 }
 
-// vcSolver adapts one metaheuristic to the coarsest level of a V-cycle.
-// budget is the wall-clock share the driver grants the solve, seed the
-// portfolio worker's derived seed, rt a monitor-only runtime (or nil).
-type vcSolver func(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error)
+// workerOutcome is one portfolio worker's result.
+type workerOutcome struct {
+	p       *partition.P
+	energy  float64
+	partial bool
+}
 
-// runVCycle runs solve inside a multilevel V-cycle, as a portfolio when
+// metaheuristic adapts one engine-backed search to the method table: its
+// flat portfolio run and its V-cycle run both derive from solve.
+type metaheuristic struct {
+	// syncEvery is the flat portfolio's incumbent-exchange cadence in the
+	// solver's own step unit.
+	syncEvery int
+	// slotPerVertex materializes a warm start with one part slot per
+	// vertex instead of exactly k, for searches whose part count roams.
+	slotPerVertex bool
+	// solve runs one worker's search on g from seed under budget, starting
+	// from init when it is non-nil, and returns the best partition, its
+	// energy and whether cancellation cut the search short.
+	solve func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error)
+}
+
+// run is the MethodSpec.Run of a metaheuristic. Memetic crossover takes
+// precedence over the V-cycle: recombination is the GA's multilevel mode.
+func (m metaheuristic) run(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
+	if cfg.Multilevel && !cfg.MemeticCrossover {
+		return m.runVCycle(ctx, g, k, cfg)
+	}
+	slots := k
+	if m.slotPerVertex {
+		slots = g.NumVertices()
+	}
+	res, workers, err := portfolio(ctx, cfg, m.syncEvery,
+		func(o workerOutcome) float64 { return o.energy },
+		func(ctx context.Context, rt *engine.Runtime, seed int64) (o workerOutcome, err error) {
+			init, err := warmInitial(g, cfg, slots)
+			if err != nil {
+				return o, err
+			}
+			o.p, o.energy, o.partial, err = m.solve(ctx, g, k, cfg, cfg.Budget, seed, rt, init)
+			return o, err
+		})
+	if err != nil {
+		return RunResult{}, err
+	}
+	return RunResult{P: res.p, Partial: res.partial, Workers: workers}, nil
+}
+
+// runVCycle runs m inside a multilevel V-cycle, as a portfolio when
 // cfg.Parallelism asks for one: the hierarchy is coarsened once from the
 // base seed and shared by every worker, each worker V-cycles independently
 // from its derived seed, and incumbents are exchanged at level boundaries.
-func runVCycle(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, solve vcSolver) (RunResult, error) {
+func (m metaheuristic) runVCycle(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
 	if cfg.WarmStart != nil {
 		// The V-cycle's solver runs on the coarsest graph, where a
 		// fine-graph assignment is meaningless; callers must choose.
@@ -253,19 +290,16 @@ func runVCycle(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, solve 
 		}
 	}
 	stats := h.Stats()
-	type out struct {
-		p       *partition.P
-		partial bool
-	}
 	res, workers, err := portfolio(ctx, cfg, 0, // boundary exchanges only, no step cadence
-		func(o out) float64 { return cfg.Objective.Evaluate(o.p) },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (out, error) {
-			p, partial, err := vcycle.Run(ctx, h, k, vcycle.Options{
+		func(o workerOutcome) float64 { return cfg.Objective.Evaluate(o.p) },
+		func(ctx context.Context, rt *engine.Runtime, seed int64) (o workerOutcome, err error) {
+			o.p, o.partial, err = vcycle.Run(ctx, h, k, vcycle.Options{
 				Objective: cfg.Objective, Budget: budget, Runtime: rt,
 			}, func(sctx context.Context, cg *graph.Graph, k int, budget time.Duration, srt *engine.Runtime) (*partition.P, bool, error) {
-				return solve(sctx, cg, k, cfg, budget, seed, srt)
+				p, _, partial, err := m.solve(sctx, cg, k, cfg, budget, seed, srt, nil)
+				return p, partial, err
 			})
-			return out{p, partial}, err
+			return o, err
 		})
 	if err != nil {
 		return RunResult{}, err
@@ -299,157 +333,58 @@ func runPercolation(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (
 	return serial(p), err
 }
 
-func runAnneal(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel {
-		return runVCycle(ctx, g, k, cfg, annealSolve)
-	}
-	// Annealing moves are cheap, so workers exchange on a coarse cadence.
-	res, workers, err := portfolio(ctx, cfg, 16_384,
-		func(r *anneal.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*anneal.Result, error) {
-			res, err := annealSolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-			return res, err
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func annealSolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*anneal.Result, error) {
-	init, err := warmInitial(g, cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	return anneal.PartitionContext(ctx, g, k, anneal.Options{
+func annealSolve(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+	res, err := anneal.PartitionContext(ctx, g, k, anneal.Options{
 		Objective: cfg.Objective, Budget: budget,
 		MaxSteps: stepsOr(cfg.MaxSteps, 2_000_000), Seed: seed, Runtime: rt,
 		Initial: init,
 	})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return res.Best, res.Energy, res.Cancelled, nil
 }
 
-func annealSolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := annealSolveRes(ctx, cg, k, cfg, budget, seed, rt)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Best, res.Cancelled, nil
-}
-
-func runAntColony(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel {
-		return runVCycle(ctx, g, k, cfg, antColonySolve)
-	}
-	// One step is a whole colony iteration: exchange often.
-	res, workers, err := portfolio(ctx, cfg, 32,
-		func(r *antcolony.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*antcolony.Result, error) {
-			return antColonySolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func antColonySolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*antcolony.Result, error) {
-	init, err := warmInitial(g, cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	return antcolony.PartitionContext(ctx, g, k, antcolony.Options{
+func antColonySolve(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+	res, err := antcolony.PartitionContext(ctx, g, k, antcolony.Options{
 		Objective: cfg.Objective, Budget: budget,
 		Iterations: stepsOr(cfg.MaxSteps, 1_000_000), Seed: seed, Runtime: rt,
 		Initial: init,
 	})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return res.Best, res.Energy, res.Cancelled, nil
 }
 
-func antColonySolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := antColonySolveRes(ctx, cg, k, cfg, budget, seed, rt)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Best, res.Cancelled, nil
-}
-
-func runFusionFission(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel {
-		return runVCycle(ctx, g, k, cfg, fusionFissionSolve)
-	}
-	res, workers, err := portfolio(ctx, cfg, 1024,
-		func(r *core.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*core.Result, error) {
-			return fusionFissionSolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func fusionFissionSolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*core.Result, error) {
-	// Fusion-fission needs a part slot per vertex so atoms can split freely.
-	init, err := warmInitial(g, cfg, g.NumVertices())
-	if err != nil {
-		return nil, err
-	}
-	return core.PartitionContext(ctx, g, k, core.Options{
+func fusionFissionSolve(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+	res, err := core.PartitionContext(ctx, g, k, core.Options{
 		Objective: cfg.Objective, Budget: budget,
 		MaxSteps: stepsOr(cfg.MaxSteps, 2_000_000), Seed: seed, Runtime: rt,
 		Initial: init,
 	})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return res.Best, res.Energy, res.Cancelled, nil
 }
 
-func fusionFissionSolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := fusionFissionSolveRes(ctx, cg, k, cfg, budget, seed, rt)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Best, res.Cancelled, nil
-}
-
-func runGenetic(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel && !cfg.MemeticCrossover {
-		return runVCycle(ctx, g, k, cfg, geneticSolve)
-	}
-	// One step is a whole generation: exchange often.
-	res, workers, err := portfolio(ctx, cfg, 4,
-		func(r *genetic.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*genetic.Result, error) {
-			return geneticSolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func geneticSolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*genetic.Result, error) {
-	init, err := warmInitial(g, cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	return genetic.PartitionContext(ctx, g, k, genetic.Options{
+func geneticSolve(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+	res, err := genetic.PartitionContext(ctx, g, k, genetic.Options{
 		Objective: cfg.Objective, Budget: budget,
 		Generations: stepsOr(cfg.MaxSteps, 100_000), Seed: seed, Runtime: rt,
 		Initial:          init,
 		MemeticCrossover: cfg.MemeticCrossover, CoarsenTo: cfg.CoarsenTo,
 	})
-}
-
-func geneticSolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := geneticSolveRes(ctx, cg, k, cfg, budget, seed, rt)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
-	return res.Best, res.Cancelled, nil
+	return res.Best, res.Energy, res.Cancelled, nil
 }
 
 // warmInitial materializes cfg.WarmStart as a starting partition for the
-// graph being solved, with the part-slot capacity the solver requires
-// (fusion-fission needs n slots so atoms can split freely; the others want
-// exactly k to keep their per-part scans tight). nil when no warm start is
-// present.
+// graph being solved, with the given part-slot capacity. nil when no warm
+// start is present.
 func warmInitial(g *graph.Graph, cfg RunConfig, capacity int) (*partition.P, error) {
 	if cfg.WarmStart == nil {
 		return nil, nil

@@ -51,13 +51,9 @@ func TestMultilevelAllMethods(t *testing.T) {
 func TestMultilevelPortfolioDeterministic(t *testing.T) {
 	g := graph.RandomGeometric(600, 0.07, 2)
 	const k = 5
-	for _, name := range []string{"Fusion Fission", "Simulated annealing", "Genetic algorithm"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, err := MethodByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, id := range []string{"fusion-fission", "annealing", "genetic"} {
+		spec := mustMethod(t, id)
+		t.Run(spec.Name, func(t *testing.T) {
 			run := func() []int32 {
 				res, err := spec.Run(context.Background(), g, k, RunConfig{
 					Objective: objective.MCut, MaxSteps: 120, Seed: 7,
@@ -83,10 +79,7 @@ func TestMultilevelPortfolioDeterministic(t *testing.T) {
 // itself; this checks the dispatch does not disturb it).
 func TestMultilevelIgnoredByFlatConfig(t *testing.T) {
 	g := graph.RandomGeometric(300, 0.1, 4)
-	spec, err := MethodByName("Fusion Fission")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := mustMethod(t, "fusion-fission")
 	run := func(cfg RunConfig) []int32 {
 		res, err := spec.Run(context.Background(), g, 4, cfg)
 		if err != nil {
@@ -115,10 +108,7 @@ func TestMultilevelIgnoredByFlatConfig(t *testing.T) {
 // valid partition marked partial (metaheuristic anytime semantics).
 func TestMultilevelCancellation(t *testing.T) {
 	g := graph.RandomGeometric(400, 0.08, 8)
-	spec, err := MethodByName("Fusion Fission")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := mustMethod(t, "fusion-fission")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Already-done context: the coarse solver errors out before a first

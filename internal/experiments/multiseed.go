@@ -40,7 +40,8 @@ type VarianceOptions struct {
 	Objective objective.Objective
 	// Budget per run (default 1s).
 	Budget time.Duration
-	// Methods restricts the study; nil means the three metaheuristics.
+	// Methods restricts the study to these method ids; nil means the three
+	// Table 1 metaheuristics.
 	Methods []string
 	// Workers caps concurrent runs (default GOMAXPROCS).
 	Workers int
@@ -71,7 +72,7 @@ func RunVariance(g *graph.Graph, opt VarianceOptions) ([]VarianceRow, error) {
 	}
 	methods := opt.Methods
 	if methods == nil {
-		methods = []string{"Simulated annealing", "Ant colony", "Fusion Fission"}
+		methods = []string{"annealing", "ant-colony", "fusion-fission"}
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -96,9 +97,9 @@ func RunVariance(g *graph.Graph, opt VarianceOptions) ([]VarianceRow, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				spec, err := MethodByName(j.method)
-				if err != nil {
-					results <- outcome{method: j.method, err: err}
+				spec, ok := MethodByID(j.method)
+				if !ok {
+					results <- outcome{method: j.method, err: fmt.Errorf("experiments: unknown method %q", j.method)}
 					continue
 				}
 				start := time.Now()

@@ -51,7 +51,7 @@ func TestRunVarianceAggregates(t *testing.T) {
 		}
 	}
 	text := FormatVariance(rows)
-	if !strings.Contains(text, "Fusion Fission") || !strings.Contains(text, "mean Mcut") {
+	if !strings.Contains(text, "fusion-fission") || !strings.Contains(text, "mean Mcut") {
 		t.Fatalf("format incomplete:\n%s", text)
 	}
 }
@@ -61,7 +61,7 @@ func TestRunVarianceSubsetAndErrors(t *testing.T) {
 	rows, err := RunVariance(g, VarianceOptions{
 		K:       6,
 		Seeds:   []int64{1, 2},
-		Methods: []string{"Percolation"},
+		Methods: []string{"percolation"},
 		Budget:  50 * time.Millisecond,
 	})
 	if err != nil {

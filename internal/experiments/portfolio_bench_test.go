@@ -25,16 +25,12 @@ import (
 
 // benchMethod describes one portfolio-vs-serial measurement.
 type benchMethod struct {
-	name  string
+	id    string
 	steps int // per run serially, per worker in the portfolio
 }
 
-func benchSolve(b testing.TB, g *graph.Graph, name string, k, steps, parallelism int, seed int64) float64 {
-	spec, err := MethodByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := spec.Run(context.Background(), g, k, RunConfig{
+func benchSolve(b testing.TB, g *graph.Graph, id string, k, steps, parallelism int, seed int64) float64 {
+	res, err := mustMethod(b, id).Run(context.Background(), g, k, RunConfig{
 		Objective: objective.MCut, MaxSteps: steps, Seed: seed, Parallelism: parallelism,
 	})
 	if err != nil {
@@ -49,15 +45,15 @@ func BenchmarkPortfolioVsSerial(b *testing.B) {
 	g := graph.RandomGeometric(1000, 0.06, 1)
 	const k = 8
 	for _, m := range []benchMethod{
-		{"Fusion Fission", 400},
-		{"Simulated annealing", 20_000},
-		{"Genetic algorithm", 6},
+		{"fusion-fission", 400},
+		{"annealing", 20_000},
+		{"genetic", 6},
 	} {
-		b.Run(m.name, func(b *testing.B) {
+		b.Run(mustMethod(b, m.id).Name, func(b *testing.B) {
 			var serial, par float64
 			for i := 0; i < b.N; i++ {
-				serial = benchSolve(b, g, m.name, k, m.steps, 1, 1)
-				par = benchSolve(b, g, m.name, k, m.steps, 4, 1)
+				serial = benchSolve(b, g, m.id, k, m.steps, 1, 1)
+				par = benchSolve(b, g, m.id, k, m.steps, 4, 1)
 			}
 			b.ReportMetric(serial, "mcut_serial")
 			b.ReportMetric(par, "mcut_portfolio4")
@@ -102,21 +98,22 @@ func TestWritePortfolioBaseline(t *testing.T) {
 		Methods: map[string]*series{},
 	}
 	for _, m := range []benchMethod{
-		{"Fusion Fission", 3000},
-		{"Simulated annealing", 150_000},
-		{"Genetic algorithm", 12},
+		{"fusion-fission", 3000},
+		{"annealing", 150_000},
+		{"genetic", 12},
 	} {
 		s := &series{StepsPerWorker: m.steps}
 		for _, seed := range doc.Seeds {
-			s.SerialMcut = append(s.SerialMcut, benchSolve(t, g, m.name, doc.K, m.steps, 1, seed))
-			s.Portfolio4Mcut = append(s.Portfolio4Mcut, benchSolve(t, g, m.name, doc.K, m.steps, doc.Parallelism, seed))
+			s.SerialMcut = append(s.SerialMcut, benchSolve(t, g, m.id, doc.K, m.steps, 1, seed))
+			s.Portfolio4Mcut = append(s.Portfolio4Mcut, benchSolve(t, g, m.id, doc.K, m.steps, doc.Parallelism, seed))
 		}
 		s.SerialMean = mean(s.SerialMcut)
 		s.Portfolio4Mean = mean(s.Portfolio4Mcut)
-		doc.Methods[m.name] = s
-		t.Logf("%-22s serial mean %.4f, portfolio mean %.4f", m.name, s.SerialMean, s.Portfolio4Mean)
+		name := mustMethod(t, m.id).Name
+		doc.Methods[name] = s
+		t.Logf("%-22s serial mean %.4f, portfolio mean %.4f", name, s.SerialMean, s.Portfolio4Mean)
 		if s.Portfolio4Mean > s.SerialMean {
-			t.Errorf("%s: portfolio mean %.4f worse than serial %.4f", m.name, s.Portfolio4Mean, s.SerialMean)
+			t.Errorf("%s: portfolio mean %.4f worse than serial %.4f", name, s.Portfolio4Mean, s.SerialMean)
 		}
 	}
 	buf, err := json.MarshalIndent(doc, "", " ")

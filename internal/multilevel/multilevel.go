@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/partition"
@@ -131,7 +132,7 @@ func splitRec(ctx context.Context, g *graph.Graph, verts []int32, kNode int, opt
 // coarsest graph spectrally into len(kPer) groups, then project back with
 // per-level refinement.
 func splitMultilevel(ctx context.Context, g *graph.Graph, kPer []int, opt Options) ([]int32, error) {
-	ladder := CoarsenHEM(g, opt.CoarsenTo, opt.Seed)
+	ladder := coarsen.HEM(g, opt.CoarsenTo, opt.Seed)
 	coarsest := g
 	if len(ladder) > 0 {
 		coarsest = ladder[len(ladder)-1].G

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/rng"
@@ -14,7 +15,7 @@ func TestCoarseningPreservesTotals(t *testing.T) {
 		r := rng.New(seed)
 		n := 30 + r.Intn(100)
 		g := graph.RandomGeometric(n, 0.2, seed)
-		ladder := CoarsenHEM(g, 10, seed)
+		ladder := coarsen.HEM(g, 10, seed)
 		prev := g
 		for _, lvl := range ladder {
 			// Vertex weight is conserved exactly.
@@ -49,7 +50,7 @@ func TestCoarseningPreservesTotals(t *testing.T) {
 
 func TestCoarseningReduces(t *testing.T) {
 	g := graph.Grid2D(20, 20)
-	ladder := CoarsenHEM(g, 50, 1)
+	ladder := coarsen.HEM(g, 50, 1)
 	if len(ladder) == 0 {
 		t.Fatal("no coarsening happened")
 	}
@@ -63,7 +64,7 @@ func TestCoarsenCutConsistency(t *testing.T) {
 	// A partition of the coarse graph, projected to the fine graph, must
 	// have exactly the same crossing weight (self-loops never cross).
 	g := graph.RandomGeometric(80, 0.2, 3)
-	ladder := CoarsenHEM(g, 20, 3)
+	ladder := coarsen.HEM(g, 20, 3)
 	if len(ladder) == 0 {
 		t.Skip("graph too small to coarsen")
 	}

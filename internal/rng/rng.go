@@ -63,92 +63,6 @@ func Pick[T any](r *rand.Rand, xs []T) T {
 	return xs[r.Intn(len(xs))]
 }
 
-// Alias is a Walker alias table: O(1) weighted sampling from a fixed
-// distribution, built once in O(n). WeightedChoice pays an O(n) prefix scan
-// per draw, which is the right trade for distributions that change between
-// draws (ant-colony pheromones); a static distribution sampled many times —
-// degree-proportional seeding, workload generators — amortizes the table
-// build after a handful of draws.
-//
-// Each draw consumes exactly two values from the generator (one Intn, one
-// Float64), so swapping WeightedChoice for an Alias changes the RNG stream:
-// do not retrofit it into a method whose golden trajectories are pinned.
-type Alias struct {
-	prob  []float64 // acceptance threshold per column
-	alias []int32   // fallback index per column
-}
-
-// NewAlias builds the table. Negative weights are treated as zero, matching
-// WeightedChoice. If no weight is positive (or weights is empty) it returns
-// nil, and Draw on a nil Alias returns -1.
-func NewAlias(weights []float64) *Alias {
-	n := len(weights)
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return nil
-	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int32, n)}
-	// Scale weights to mean 1 and split columns into small (< 1) and large.
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
-	for i, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	// Each small column is topped up by one large column; the large column's
-	// remainder is requeued on whichever side it now belongs to.
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	// Round-off leftovers on either queue are full columns.
-	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	return a
-}
-
-// Draw returns an index distributed proportionally to the weights the table
-// was built from, in O(1): one uniform column pick and one biased coin.
-func (a *Alias) Draw(r *rand.Rand) int {
-	if a == nil {
-		return -1
-	}
-	i := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[i] {
-		return i
-	}
-	return int(a.alias[i])
-}
-
 // Splitmix is a splitmix64 generator (Steele, Lea & Flood's SplittableRandom
 // finalizer): one add and three xor-multiply rounds per draw, an order of
 // magnitude cheaper than math/rand's additive-lagged source behind a mutex-free

@@ -86,88 +86,17 @@ func TestPick(t *testing.T) {
 	}
 }
 
-func TestAliasMatchesDistribution(t *testing.T) {
-	r := New(41)
-	weights := []float64{1, 0, 3, 6, 0.5, -2, 9.5}
-	a := NewAlias(weights)
-	if a == nil {
-		t.Fatal("NewAlias returned nil for a positive-total distribution")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	const draws = 2_000_000
-	counts := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		v := a.Draw(r)
-		if v < 0 || v >= len(weights) {
-			t.Fatalf("draw out of range: %d", v)
-		}
-		counts[v]++
-	}
-	for i, w := range weights {
-		want := 0.0
-		if w > 0 {
-			want = w / total
-		}
-		got := float64(counts[i]) / draws
-		if want == 0 {
-			if counts[i] != 0 {
-				t.Errorf("index %d has zero weight but %d draws", i, counts[i])
-			}
-			continue
-		}
-		if got < want*0.98 || got > want*1.02 {
-			t.Errorf("index %d: frequency %.4f, want %.4f (±2%%)", i, got, want)
-		}
-	}
-}
-
-func TestAliasDegenerate(t *testing.T) {
-	if a := NewAlias(nil); a != nil {
-		t.Error("NewAlias(nil) != nil")
-	}
-	if a := NewAlias([]float64{0, -1, 0}); a != nil {
-		t.Error("NewAlias with no positive weight != nil")
-	}
-	var nilTable *Alias
-	if got := nilTable.Draw(New(1)); got != -1 {
-		t.Errorf("nil Draw = %d, want -1", got)
-	}
-	// Single-element table always returns 0.
-	one := NewAlias([]float64{4.2})
-	r := New(2)
-	for i := 0; i < 100; i++ {
-		if got := one.Draw(r); got != 0 {
-			t.Fatalf("single-column draw = %d, want 0", got)
-		}
-	}
-}
-
 func BenchmarkWeightedChoice(b *testing.B) {
 	r := New(9)
 	weights := make([]float64, 256)
 	for i := range weights {
 		weights[i] = r.Float64() * 10
 	}
-	b.Run("scan", func(b *testing.B) {
-		s := 0
-		for i := 0; i < b.N; i++ {
-			s += WeightedChoice(r, weights)
-		}
-		benchSink = s
-	})
-	b.Run("alias", func(b *testing.B) {
-		a := NewAlias(weights)
-		s := 0
-		for i := 0; i < b.N; i++ {
-			s += a.Draw(r)
-		}
-		benchSink = s
-	})
+	s := 0
+	for i := 0; i < b.N; i++ {
+		s += WeightedChoice(r, weights)
+	}
+	benchSink = s
 }
 
 var benchSink int

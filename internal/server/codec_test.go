@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,9 @@ func TestRequestOptionsNormalizeAndClamp(t *testing.T) {
 	if _, err := (&PartitionRequest{K: 2, Parallelism: -1}).options(0, 0); err == nil {
 		t.Fatal("negative parallelism accepted")
 	}
+	if _, err := (&PartitionRequest{K: 2, MaxSteps: -5}).options(0, 0); err == nil {
+		t.Fatal("negative max_steps accepted")
+	}
 
 	r = PartitionRequest{K: 2, Parallelism: 64}
 	opt, err = r.options(0, 4)
@@ -195,5 +199,102 @@ func TestDecodeGraphErrors(t *testing.T) {
 				t.Fatalf("unhelpful error: %v", err)
 			}
 		})
+	}
+}
+
+// optionKeyFields classifies every ff.Options field by the server key it
+// belongs to — cacheKey (result identity), exchangeKey (island pairing
+// identity), or neither — and says how to flip it away from the base value
+// in TestOptionKeysCoverEveryField. A new Options field fails that test
+// until it is classified here, so no option can silently collide cache
+// entries or pair unrelated federated jobs.
+var optionKeyFields = map[string]struct {
+	cache, exchange bool
+	flip            func(*ff.Options)
+}{
+	"K":                {true, true, func(o *ff.Options) { o.K++ }},
+	"Method":           {true, true, func(o *ff.Options) { o.Method = "annealing" }},
+	"Objective":        {true, true, func(o *ff.Options) { o.Objective = "cut" }},
+	"Seed":             {true, true, func(o *ff.Options) { o.Seed++ }},
+	"Budget":           {true, false, func(o *ff.Options) { o.Budget += time.Millisecond }},
+	"MaxSteps":         {true, true, func(o *ff.Options) { o.MaxSteps++ }},
+	"Parallelism":      {true, false, func(o *ff.Options) { o.Parallelism++ }},
+	"Multilevel":       {true, true, func(o *ff.Options) { o.Multilevel = !o.Multilevel }},
+	"MemeticCrossover": {true, true, func(o *ff.Options) { o.MemeticCrossover = !o.MemeticCrossover }},
+	"CoarsenTo":        {true, true, func(o *ff.Options) { o.CoarsenTo++ }},
+	"WarmStart":        {true, true, func(o *ff.Options) { o.WarmStart = []int32{0, 1, 1, 0} }},
+	"Relayout":         {true, true, func(o *ff.Options) { o.Relayout = !o.Relayout }},
+	// Island only offsets seed derivation inside one fleet member; Exchange
+	// is the transport itself. Neither names a different computation.
+	"Island":   {false, false, func(o *ff.Options) { o.Island++ }},
+	"Exchange": {false, false, func(o *ff.Options) { o.Exchange = &islandRelay{} }},
+}
+
+func TestOptionKeysCoverEveryField(t *testing.T) {
+	const d = "digest"
+	base := ff.Options{K: 2, Method: "fusion-fission", Objective: "mcut", Seed: 1, Budget: time.Second, Parallelism: 1}
+	typ := reflect.TypeOf(base)
+	seen := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		seen[name] = true
+		class, ok := optionKeyFields[name]
+		if !ok {
+			t.Errorf("ff.Options.%s is not classified in optionKeyFields", name)
+			continue
+		}
+		v := base
+		class.flip(&v)
+		if reflect.DeepEqual(v, base) {
+			t.Errorf("%s: flip left the options unchanged", name)
+		}
+		if got := cacheKey(d, v) != cacheKey(d, base); got != class.cache {
+			t.Errorf("%s: cacheKey changed = %v, want %v", name, got, class.cache)
+		}
+		if got := exchangeKey(d, v) != exchangeKey(d, base); got != class.exchange {
+			t.Errorf("%s: exchangeKey changed = %v, want %v", name, got, class.exchange)
+		}
+	}
+	for name := range optionKeyFields {
+		if !seen[name] {
+			t.Errorf("optionKeyFields names %s, which ff.Options does not have", name)
+		}
+	}
+}
+
+// TestOptionKeysPinned pins both key formats byte for byte on a few
+// normalized requests. exchangeKey travels between islands, so a format
+// change breaks fleets that mix versions; cacheKey changes would silently
+// orphan every cached result.
+func TestOptionKeysPinned(t *testing.T) {
+	const d = "digest"
+	for _, c := range []struct {
+		name          string
+		opt           ff.Options
+		cache, exchng string
+	}{
+		{"cold", ff.Options{K: 4, Seed: 7},
+			"digest|fusion-fission|4|mcut|7|2000000000|0|1|0|0|0|0|-",
+			"digest|fusion-fission|4|mcut|7|0|0|0|0|0|-"},
+		{"warm", ff.Options{K: 2, Method: "annealing", Seed: 3, MaxSteps: 500, Parallelism: 2, WarmStart: []int32{0, 1, 1, 0}},
+			"digest|annealing|2|mcut|3|2000000000|500|2|0|0|0|0|8bd2fa7c6873c97e24da3767da43702d",
+			"digest|annealing|2|mcut|3|500|0|0|0|0|8bd2fa7c6873c97e24da3767da43702d"},
+		{"multilevel", ff.Options{K: 8, Method: "ant-colony", Objective: "ncut", Budget: 500 * time.Millisecond, Multilevel: true, CoarsenTo: 64, Relayout: true},
+			"digest|ant-colony|8|ncut|0|500000000|0|1|1|64|0|1|-",
+			"digest|ant-colony|8|ncut|0|0|1|64|0|1|-"},
+		{"memetic", ff.Options{K: 4, Method: "genetic", Seed: -2, Parallelism: 3, Multilevel: true, MemeticCrossover: true, CoarsenTo: 40},
+			"digest|genetic|4|mcut|-2|2000000000|0|3|0|40|1|0|-",
+			"digest|genetic|4|mcut|-2|0|0|40|1|0|-"},
+	} {
+		opt, err := ff.Normalize(c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cacheKey(d, opt); got != c.cache {
+			t.Errorf("%s: cacheKey = %q, want %q", c.name, got, c.cache)
+		}
+		if got := exchangeKey(d, opt); got != c.exchng {
+			t.Errorf("%s: exchangeKey = %q, want %q", c.name, got, c.exchng)
+		}
 	}
 }

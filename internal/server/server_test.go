@@ -441,6 +441,7 @@ func TestMalformedPayloads(t *testing.T) {
 		{"bad objective", PartitionRequest{Graph: square, K: 2, Objective: "mincut"}, http.StatusBadRequest},
 		{"bad budget", PartitionRequest{Graph: square, K: 2, Budget: "fast"}, http.StatusBadRequest},
 		{"negative budget", PartitionRequest{Graph: square, K: 2, Budget: "-2s"}, http.StatusBadRequest},
+		{"negative max_steps", PartitionRequest{Graph: square, K: 2, MaxSteps: -5}, http.StatusBadRequest},
 		{"bad timeout", PartitionRequest{Graph: square, K: 2, Timeout: "later"}, http.StatusBadRequest},
 		{"edge arity", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0}}}}, http.StatusBadRequest},
 		{"fractional endpoint", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 1.5}}}}, http.StatusBadRequest},
@@ -504,7 +505,7 @@ func TestMethodsEndpoint(t *testing.T) {
 			table1++
 		}
 	}
-	if table1 != 17 || ext != 5 {
+	if table1 != 17 || ext != 4 {
 		t.Fatalf("got %d table-1 and %d extension methods", table1, ext)
 	}
 	if m := byID["fusion-fission"]; !m.Metaheuristic || m.Label != "Fusion Fission" {

@@ -27,9 +27,9 @@ func TestMultilevelOptionsNormalize(t *testing.T) {
 	if o.Multilevel || o.CoarsenTo != 0 {
 		t.Fatalf("normalized = %+v, want coarsen_to cleared", o)
 	}
-	// Non-supporting methods (classical, and the ensemble which manages its
-	// own workers) get both flags cleared, like Parallelism pinning.
-	for _, method := range []string{"multilevel-bi", "spectral-lanc-bi", "fusion-fission-ensemble"} {
+	// Non-supporting (classical) methods get both flags cleared, like
+	// Parallelism pinning.
+	for _, method := range []string{"multilevel-bi", "spectral-lanc-bi"} {
 		o, err = ff.Normalize(ff.Options{K: 4, Method: method, Multilevel: true, CoarsenTo: 64})
 		if err != nil {
 			t.Fatal(err)
