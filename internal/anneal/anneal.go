@@ -20,9 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -219,14 +217,8 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	// from a dedicated splitmix64 stream seeded off the main generator: the
 	// refill runs a tight register-resident loop of three xor-multiply
 	// rounds per draw instead of re-entering math/rand between every
-	// adjacency scan, and it doubles as a prefetch sweep that touches each
-	// upcoming vertex's adjacency lines while the loads can still overlap
-	// (issued back to back, nothing downstream depends on them — the
-	// evaluation loop's own loads are serialized against accept/reject
-	// branches). The refill point depends only on the step index and n, so
-	// the vertex stream is a pure function of the run seed; FF_NOBATCH
-	// consumes the identical stream and skips only the prefetch, keeping
-	// trajectories bit-identical to the batched path.
+	// adjacency scan. The refill point depends only on the step index and
+	// n, so the vertex stream is a pure function of the run seed.
 	prop := rng.NewSplitmix(r.Uint64())
 	var batch [proposalBatchSize]int32
 	batchPos := proposalBatchSize
@@ -266,9 +258,6 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		if batchPos == proposalBatchSize {
 			for i := range batch {
 				batch[i] = int32(prop.Intn(n))
-			}
-			if useBatch {
-				prefetchAdjacency(g, batch[:])
 			}
 			batchPos = 0
 		}
@@ -420,41 +409,10 @@ func coldTarget(p *partition.P, v int, s *targetScratch, r *rand.Rand) int {
 }
 
 // proposalBatchSize is how many proposal vertices each RNG refill draws.
-// One batch of int32 ids is a single cache line — large enough to amortize
-// the refill branch and give the prefetch sweep a useful window, small
-// enough that the prefetched lines are still resident when their proposal
-// comes up.
+// One batch of int32 ids is a single cache line, large enough to amortize
+// the refill branch. The size is part of the RNG schedule: changing it
+// changes trajectories.
 const proposalBatchSize = 64
-
-// useBatch gates the prefetch sweep of the proposal batch, probed once at
-// startup. The batch *draw* is not gated — it defines the RNG schedule and
-// therefore the trajectory — so FF_NOBATCH=1 changes no results, it only
-// routes the hot path through the plain loads (and, via the score and
-// refine packages, the scalar kernels) for bisecting a suspected
-// batching/SIMD artifact.
-var useBatch = os.Getenv("FF_NOBATCH") == ""
-
-// prefetchSink keeps the prefetch loads observable so the compiler cannot
-// delete the sweep. Portfolio workers prefetch concurrently, so the sink
-// must be written atomically — one add per 64-proposal batch, invisible
-// next to the cache misses the sweep exists to overlap.
-var prefetchSink atomic.Int64
-
-// prefetchAdjacency touches the first and last adjacency entries of every
-// vertex in the batch — one or two cache lines per vertex at the degrees
-// the paper instances run, loaded back to back with no dependent work, so
-// the misses overlap instead of serializing against the evaluation loop's
-// accept/reject logic.
-func prefetchAdjacency(g *graph.Graph, batch []int32) {
-	var s int64
-	for _, v := range batch {
-		nb := g.Neighbors(int(v))
-		if len(nb) > 0 {
-			s += int64(nb[0]) + int64(nb[len(nb)-1])
-		}
-	}
-	prefetchSink.Add(s)
-}
 
 // boltzmann evaluates the Metropolis acceptance probability exp(deltaNeg/T)
 // from the reciprocal temperature: callers precompute invT = 1/t when the
@@ -465,8 +423,7 @@ func boltzmann(deltaNeg, invT float64) float64 {
 	if !(x > -700) {
 		return 0 // underflow clamp; also rejects NaN (t <= 0 or frozen)
 	}
-	// fastmath.Exp: same clamped range, a few 1e-12 relative of math.Exp
-	// (FF_EXACTEXP=1 restores the exact kernel).
+	// fastmath.Exp: same clamped range, a few 1e-12 relative of math.Exp.
 	return fastmath.Exp(x)
 }
 

@@ -150,9 +150,8 @@ func proposalBurst(tr *score.Tracker, s *targetScratch, r *rand.Rand, opt Option
 	unitVW := g.UnitVertexWeights()
 	invT := 1 / t // production hoists the reciprocal out of the accept test
 	// hot-argmin and cold draw their vertex stream exactly as the production
-	// loop does — splitmix batches plus the prefetch sweep — while the frozen
-	// hot-allocscan replica keeps the pre-batching per-step math/rand draw it
-	// is meant to preserve.
+	// loop does — splitmix batches — while the frozen hot-allocscan replica
+	// keeps the pre-batching per-step math/rand draw it is meant to preserve.
 	prop := rng.NewSplitmix(r.Uint64())
 	var batch [proposalBatchSize]int32
 	batchPos := proposalBatchSize
@@ -164,9 +163,6 @@ func proposalBurst(tr *score.Tracker, s *targetScratch, r *rand.Rand, opt Option
 			if batchPos == proposalBatchSize {
 				for j := range batch {
 					batch[j] = int32(prop.Intn(n))
-				}
-				if useBatch {
-					prefetchAdjacency(g, batch[:])
 				}
 				batchPos = 0
 			}

@@ -310,8 +310,8 @@ func (s *search) drawFission(atom int, t float64) bool {
 // |z| > 700 now short-circuits to the saturated 0/1 the sigmoid converges
 // to, and a NaN argument (degenerate alpha) keeps the legacy
 // "comparison-with-NaN never fissions" behavior explicitly. The interior
-// uses fastmath.Exp (FF_EXACTEXP=1 restores math.Exp); the default Choice is
-// the paper's piecewise-linear law, so golden trajectories are unaffected.
+// uses fastmath.Exp; the default Choice is the paper's piecewise-linear law,
+// so golden trajectories are unaffected.
 func sigmoidChoice(alpha, x, nBar float64) float64 {
 	z := -2 * alpha * (x - nBar)
 	switch {

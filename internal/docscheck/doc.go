@@ -1,6 +1,7 @@
 // Package docscheck keeps the documentation honest: its tests verify that
 // every relative markdown link in README/ROADMAP/docs resolves to a real
-// file and that every package in the module carries a package comment.
+// file, that every package in the module carries a package comment, and
+// that no production code reads an environment variable.
 // Running inside `go test ./...` makes doc rot a tier-1 build failure, on
 // any machine, with no external tooling.
 package docscheck

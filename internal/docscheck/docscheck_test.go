@@ -1,6 +1,7 @@
 package docscheck
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"net/url"
@@ -127,5 +128,73 @@ func TestPackageComments(t *testing.T) {
 		if !ok {
 			t.Errorf("package %s has no package comment on any file", dir)
 		}
+	}
+}
+
+// TestNoEnvironmentKnobs fails when production code of the root module
+// (any non-test .go file outside nested modules) reads the environment
+// through os.Getenv or os.LookupEnv. Behavior is selected by options the
+// API and the command-line flags expose, never by a hidden variable, so
+// every path the tests pin is the path that runs.
+func TestNoEnvironmentKnobs(t *testing.T) {
+	root := repoRoot(t)
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path == root {
+				return nil
+			}
+			if strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module, not part of this one
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		osName := ""
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"os"` {
+				osName = "os"
+				if imp.Name != nil {
+					osName = imp.Name.Name
+				}
+			}
+		}
+		if osName == "" {
+			return nil
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == osName &&
+				(sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") {
+				t.Errorf("%s: production code reads the environment via os.%s",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("only %d production files found — checker miswired?", files)
 	}
 }

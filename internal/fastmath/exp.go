@@ -5,26 +5,13 @@
 // BENCH_anneal.json); Exp below replaces it with a 32-entry octave table and
 // a degree-4 polynomial — no division, no branches on the accept path — at a
 // maximum relative error of a few 1e-12 (TestExpMaxRelativeError pins the
-// bound against math.Exp).
-//
-// The escape hatch FF_EXACTEXP=1 routes Exp through math.Exp, for bisecting
-// a suspected approximation artifact; acceptance decisions compare Exp
-// against a uniform draw, so the two paths diverge only when that draw lands
-// within the approximation error of the threshold (~1e-12 per uphill
-// proposal), and golden-scale trajectories are identical.
+// bound against math.Exp). Acceptance decisions compare Exp against a
+// uniform draw, so a run differs from one using math.Exp only when that draw
+// lands within the approximation error of the threshold (~1e-12 per uphill
+// proposal).
 package fastmath
 
-import (
-	"math"
-	"os"
-)
-
-// useExact routes Exp through math.Exp, probed once at startup.
-var useExact = os.Getenv("FF_EXACTEXP") != ""
-
-// Exact reports whether the FF_EXACTEXP escape hatch is active and Exp is
-// math.Exp.
-func Exact() bool { return useExact }
+import "math"
 
 const (
 	// invLn2x32 = 32/ln 2: scales x so the rounded product selects one of 32
@@ -67,9 +54,6 @@ var exp2tab = func() [32]float64 {
 // overflow to +Inf, underflow through the subnormals to 0, and NaN
 // propagation are all exactly math.Exp's.
 func Exp(x float64) float64 {
-	if useExact {
-		return math.Exp(x)
-	}
 	if math.Abs(x) < smallX { // NaN compares false, falls to the guard below
 		// Degree-4 Taylor straight in x, Estrin-paired so the two halves
 		// evaluate concurrently instead of serializing through a Horner

@@ -11,9 +11,6 @@ import (
 // there) and strides across the full reduced range so every table entry and
 // both reduction branches are exercised.
 func TestExpMaxRelativeError(t *testing.T) {
-	if useExact {
-		t.Skip("FF_EXACTEXP=1: Exp is math.Exp, nothing to bound")
-	}
 	maxRel := 0.0
 	worst := 0.0
 	check := func(x float64) {

@@ -13,17 +13,6 @@ func BenchmarkMinKeyScan(b *testing.B) {
 		for i := range keys {
 			keys[i] = minKeyOf(float64((i*2654435761)%997) + 0.5)
 		}
-		b.Run(fmt.Sprintf("avx2/n%d", n), func(b *testing.B) {
-			if !useAVX2 {
-				b.Skip("no AVX2")
-			}
-			var s int
-			for i := 0; i < b.N; i++ {
-				_, idx := minKeyScanAVX2(&keys[0], n, i%n)
-				s += idx
-			}
-			sinkInt = s
-		})
 		b.Run(fmt.Sprintf("generic/n%d", n), func(b *testing.B) {
 			var s int
 			for i := 0; i < b.N; i++ {

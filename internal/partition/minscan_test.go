@@ -32,33 +32,8 @@ func TestMinKeyScanGenericMatchesReference(t *testing.T) {
 	}
 }
 
-func TestMinKeyScanAVX2MatchesReference(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 on this machine")
-	}
-	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 5000; trial++ {
-		keys := randomKeys(r)
-		if len(keys) < 8 {
-			continue
-		}
-		// Exercise every exclusion shape: none, in range, out of range.
-		exclude := r.Intn(len(keys)+4) - 2
-		masked := append([]uint64(nil), keys...)
-		if exclude >= 0 && exclude < len(masked) {
-			masked[exclude] = emptyMinKey
-		}
-		wantMK, wantIdx := referenceMinScan(masked)
-		gotMK, gotIdx := minKeyScanAVX2(&keys[0], len(keys), exclude)
-		if gotMK != wantMK || (wantMK != emptyMinKey && gotIdx != wantIdx) {
-			t.Fatalf("trial %d len %d exclude %d: avx2 = (%#x, %d), want (%#x, %d)",
-				trial, len(keys), exclude, gotMK, gotIdx, wantMK, wantIdx)
-		}
-	}
-}
-
 // randomKeys builds adversarial key arrays: ragged lengths around the
-// 4-lane vector width, heavy duplication so ties exercise the lowest-index
+// scan's 4-way unroll, heavy duplication so ties exercise the lowest-index
 // rule, realistic minKeyOf images of weights, sentinels, and raw patterns
 // covering both halves of the sign-flip mapping.
 func randomKeys(r *rand.Rand) []uint64 {
@@ -90,10 +65,5 @@ func TestMinKeyScanAllEmpty(t *testing.T) {
 	}
 	if mk, _ := minKeyScanGeneric(keys); mk != emptyMinKey {
 		t.Fatalf("generic on all-empty = %#x, want sentinel", mk)
-	}
-	if useAVX2 {
-		if mk, _ := minKeyScanAVX2(&keys[0], len(keys), -1); mk != emptyMinKey {
-			t.Fatalf("avx2 on all-empty = %#x, want sentinel", mk)
-		}
 	}
 }

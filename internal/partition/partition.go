@@ -66,9 +66,9 @@ type P struct {
 	// loop-free graphs every part's internal weight is an exact small
 	// integer, so (weight << 32 | part id) packs the full lexicographic
 	// (weight, lowest-id) order into one uint64 — the plain min reduction
-	// over minKeyC IS the argmin, with no index-recovery pass and no
-	// vector kernel needed. Weighted or loop-carrying graphs keep the
-	// bit-mapped float keys in minKey and the AVX2 scan.
+	// over minKeyC IS the argmin, with no index-recovery pass. Weighted or
+	// loop-carrying graphs keep the bit-mapped float keys in minKey and the
+	// two-pass minKeyScanGeneric.
 	minNarrow bool
 	minKeyC   []uint64
 }
@@ -88,11 +88,7 @@ func New(g *graph.Graph, capacity int) *P {
 		cut:      make([]float64, capacity),
 	}
 	if capacity <= math.MaxInt16 {
-		// One padding entry past the end: the score package's gathered
-		// conns kernel loads 32-bit lanes at part16[u], reading two bytes
-		// beyond the last vertex's entry. The pad keeps that read inside
-		// the allocation without the kernel needing a tail fixup.
-		p.part16 = make([]int16, g.NumVertices()+1)[:g.NumVertices()]
+		p.part16 = make([]int16, g.NumVertices())
 		for i := range p.part16 {
 			p.part16[i] = Unassigned
 		}
@@ -367,16 +363,6 @@ func (p *P) MinInternalPart(exclude int) int {
 		return p.minCompositeScan(exclude)
 	}
 	keys := p.minKey
-	if useAVX2 && len(keys) >= 8 {
-		// The kernel neutralizes the excluded slot in-register: storing a
-		// sentinel into the array just before the vector loads would stall
-		// every call on failed store-to-load forwarding.
-		mk, idx := minKeyScanAVX2(&keys[0], len(keys), exclude)
-		if mk == emptyMinKey {
-			return -1
-		}
-		return idx
-	}
 	masked := exclude >= 0 && exclude < len(keys)
 	var saved uint64
 	if masked { // mask the excluded slot for the duration of the scan
@@ -528,11 +514,9 @@ const emptyCompositeBase = uint64(^uint32(0)) << 32
 // minCompositeScan is the narrow-path argmin: a branchless four-chain min
 // reduction over the composite (weight<<32 | id) keys. The composite order
 // makes the index recovery free — the low half of the minimum is the part
-// id — so this portable loop beats the vector scan that the wide path
-// needs, on every architecture. The excluded slot is masked by an 8-byte
-// aligned store the immediately following loads forward from cleanly (the
-// wide kernel's store-to-load-stall concern applies to its 32-byte vector
-// loads, not to scalar reloads).
+// id — so one pass suffices where the wide path needs two. The excluded
+// slot is masked by an 8-byte aligned store the immediately following
+// loads forward from cleanly.
 func (p *P) minCompositeScan(exclude int) int {
 	keys := p.minKeyC
 	masked := exclude >= 0 && exclude < len(keys)
@@ -678,8 +662,7 @@ func (p *P) Clone() *P {
 		crossing: p.crossing,
 	}
 	if p.part16 != nil {
-		// Padded like New's allocation for the gathered conns kernel.
-		q.part16 = append(make([]int16, 0, len(p.part16)+1), p.part16...)
+		q.part16 = append([]int16(nil), p.part16...)
 	}
 	return q
 }

@@ -316,8 +316,8 @@ func TestMinInternalPartMatchesReference(t *testing.T) {
 		if seed%2 == 0 {
 			// Odd seeds keep the generator's unit weights (the narrow
 			// composite-key path); even seeds rebuild with fractional edge
-			// weights and self-loops so the wide bit-mapped-key path and
-			// its vector kernel stay covered by the same property.
+			// weights and self-loops so the wide bit-mapped-key path stays
+			// covered by the same property.
 			b := graph.NewBuilder(n)
 			g.ForEachEdge(func(u, v int, w float64) {
 				b.AddEdge(u, v, float64(1+r.Intn(12))/4)

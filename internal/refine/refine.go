@@ -12,7 +12,6 @@ package refine
 import (
 	"container/heap"
 	"context"
-	"os"
 
 	"repro/internal/graph"
 	"repro/internal/objective"
@@ -20,17 +19,15 @@ import (
 	"repro/internal/score"
 )
 
-// useBatch gates KWay's batched interior pre-filter, probed once at startup.
-// The pre-filter only skips vertices the per-vertex scan would provably
-// leave unmoved, so FF_NOBATCH=1 changes no results — it routes the sweep
-// through the plain per-vertex path (and, in internal/score, the scalar
-// kernels) for bisecting a suspected batching/SIMD artifact.
-var useBatch = os.Getenv("FF_NOBATCH") == ""
+// useBatch keeps KWay's batched interior pre-filter on. Only
+// TestKWayBatchInvariance clears it, to run the plain per-vertex scan as the
+// reference the filtered sweep must match bit for bit.
+var useBatch = true
 
 // kwayBatch is the block size of KWay's interior pre-filter: one cache line
-// of verdicts, evaluated in a prefetch-friendly burst over consecutive
-// vertices — after a locality relayout, consecutive vertices are also
-// adjacency-contiguous, so the sweep walks the CSR arrays nearly linearly.
+// of verdicts, evaluated in one burst over consecutive vertices — after a
+// locality relayout, consecutive vertices are also adjacency-contiguous, so
+// the sweep walks the CSR arrays nearly linearly.
 const kwayBatch = 64
 
 // BisectOptions configures KL and FM.
@@ -546,11 +543,11 @@ func KWay(p *partition.P, opt KWayOptions) float64 {
 	// interior (every neighbor in their own part), and the per-vertex loop
 	// below spends its time discovering that one weighted adjacency scan at a
 	// time. Each kwayBatch-aligned block instead runs one compare-only sweep
-	// (score.NeighborsAllIn — the SIMD conns kernel on eligible graphs) whose
-	// verdicts let the sweep skip interior vertices without touching the
-	// stamp/connW bookkeeping. A verdict is trusted only while no move has
-	// been committed since its block was evaluated — a committed move can
-	// turn an interior vertex into a boundary one — so skipped vertices are
+	// (score.NeighborsAllIn over the int16 part mirror) whose verdicts let
+	// the sweep skip interior vertices without touching the stamp/connW
+	// bookkeeping. A verdict is trusted only while no move has been
+	// committed since its block was evaluated — a committed move can turn
+	// an interior vertex into a boundary one — so skipped vertices are
 	// exactly those the unbatched scan would have left unmoved, and the
 	// refined partition is bit-identical with the pre-filter on or off
 	// (TestKWayBatchInvariance pins this).

@@ -266,10 +266,10 @@ func TestKWayReturnMatchesEvaluate(t *testing.T) {
 }
 
 // TestKWayBatchInvariance pins the contract of KWay's interior pre-filter:
-// the batched sweep (NeighborsAllIn verdicts, SIMD kernel where eligible)
-// skips only vertices the plain per-vertex scan would leave unmoved, so the
-// refined assignment and the returned objective are bit-identical with the
-// pre-filter on or off — the invariant FF_NOBATCH relies on.
+// the batched sweep (NeighborsAllIn verdicts) skips only vertices the plain
+// per-vertex scan would leave unmoved, so the refined assignment and the
+// returned objective are bit-identical with the pre-filter on or off. The
+// plain scan exists only as this test's reference.
 func TestKWayBatchInvariance(t *testing.T) {
 	defer func(old bool) { useBatch = old }(useBatch)
 	check := func(seed int64) bool {

@@ -9,66 +9,9 @@ import (
 	"repro/internal/rng"
 )
 
-// TestConnsCountKernelMatchesScalar drives the gathered count kernel over
-// random complete partitions and checks it against the obvious scalar count
-// for every (vertex, from, to) shape, including from == to (the interior
-// predicate's usage) and parts absent from the neighborhood.
-func TestConnsCountKernelMatchesScalar(t *testing.T) {
-	if !useConnsAVX2 {
-		t.Skip("gathered conns kernel inactive (no AVX2, FF_NOAVX2 or FF_NOBATCH)")
-	}
-	check := func(seed int64) bool {
-		r := rng.New(seed)
-		n := 12 + r.Intn(120)
-		g := graph.GNP(n, 0.35, seed+1) // dense enough for degrees past 8
-		k := 2 + r.Intn(10)
-		assign := make([]int32, n)
-		for v := range assign {
-			assign[v] = int32(r.Intn(k))
-		}
-		p, err := partition.FromAssignment(g, assign, k)
-		if err != nil {
-			return false
-		}
-		part := p.PartView16()
-		for trial := 0; trial < 50; trial++ {
-			v := r.Intn(n)
-			nbrs := g.Neighbors(v)
-			if len(nbrs) < 8 {
-				continue
-			}
-			from := int32(r.Intn(k))
-			to := int32(r.Intn(k))
-			if trial%5 == 0 {
-				to = from
-			}
-			n8 := len(nbrs) &^ 7
-			gotF, gotT := connsCountAVX2(&nbrs[0], n8, &part[0], from, to)
-			var wantF, wantT int32
-			for _, u := range nbrs[:n8] {
-				if part[u] == int16(from) {
-					wantF++
-				}
-				if part[u] == int16(to) {
-					wantT++
-				}
-			}
-			if gotF != wantF || gotT != wantT {
-				t.Logf("seed %d v %d from %d to %d: kernel (%d,%d), want (%d,%d)",
-					seed, v, from, to, gotF, gotT, wantF, wantT)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNeighborsAllInMatchesReference checks the interior predicate against
 // its specification on random graphs, both complete and incomplete
-// partitions, whatever kernel path is active.
+// partitions, so both the int16-mirror scan and the plain lookup are covered.
 func TestNeighborsAllInMatchesReference(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rng.New(seed)

@@ -435,16 +435,6 @@ func moveConns(p *partition.P, v, from, to int) (connA, connB, other float64) {
 				// per-load bound checks it would otherwise emit are a
 				// measurable fraction of this loop.
 				pp := unsafe.Pointer(&part[0])
-				i := 0
-				if useConnsAVX2 && len(nbrs) >= connsKernelMinDeg {
-					// Eight neighbors per gathered iteration; the scalar
-					// loop below mops up the ragged tail. Exact integer
-					// counts, so the split is bit-identical to the
-					// all-scalar loop.
-					n8 := len(nbrs) &^ 7
-					cA, cB = connsCountAVX2(&nbrs[0], n8, &part[0], int32(from), int32(to))
-					i = n8
-				}
 				// One accumulator pair, not an unrolled bank: the loop
 				// body compiles to two CMOV increments per neighbor, and
 				// keeping the live set at two counters plus two compare
@@ -452,8 +442,8 @@ func moveConns(p *partition.P, v, from, to int) (connA, connB, other float64) {
 				// unrolled four-pair variant spills counters and loaded
 				// parts to the stack each iteration and measures slower
 				// than its extra ILP recovers.
-				for ; i < len(nbrs); i++ {
-					b := *(*int16)(unsafe.Add(pp, uintptr(uint32(nbrs[i]))*2))
+				for _, u := range nbrs {
+					b := *(*int16)(unsafe.Add(pp, uintptr(uint32(u))*2))
 					if b == f16 {
 						cA++
 					}
@@ -535,41 +525,17 @@ func moveConns(p *partition.P, v, from, to int) (connA, connB, other float64) {
 	return connA, connB, other
 }
 
-// connsKernelMinDeg is the degree below which the gathered count kernel is
-// not worth calling: its fixed per-call cost (operand broadcasts, the
-// horizontal lane sums, the call itself) is ~8 scalar iterations, so short
-// adjacencies — the common case on the paper's geometric instances — stay
-// on the unrolled scalar loop and only genuinely wide vertices (coarsened
-// multilevel graphs, hubs) pay the kernel's setup for its 8-per-cycle
-// steady state. Either path produces identical exact integer counts, so
-// the crossover is pure tuning with no result drift.
-const connsKernelMinDeg = 32
-
 // NeighborsAllIn reports whether every assigned neighbor of v lies in part
 // a — v is "interior" to a and no single move of v can reduce any cut-based
 // objective's crossing weight, which is what lets refine.KWay skip the full
 // candidate scan for the (vast, on locality-ordered graphs) majority of
-// vertices. On a complete partition with an int16 mirror the check is the
-// gathered count kernel when available; the portable path is a plain scan
-// with an early exit.
+// vertices. On a complete partition with an int16 mirror the check reads
+// the mirror; either way it is a plain scan with an early exit.
 func NeighborsAllIn(p *partition.P, v, a int) bool {
 	g := p.Graph()
 	nbrs := g.Neighbors(v)
 	if part := p.PartView16(); part != nil && p.Complete() {
 		a16 := int16(a)
-		if useConnsAVX2 && len(nbrs) >= connsKernelMinDeg {
-			n8 := len(nbrs) &^ 7
-			cnt, _ := connsCountAVX2(&nbrs[0], n8, &part[0], int32(a), int32(a))
-			if int(cnt) != n8 {
-				return false
-			}
-			for _, u := range nbrs[n8:] {
-				if part[u] != a16 {
-					return false
-				}
-			}
-			return true
-		}
 		for _, u := range nbrs {
 			if part[u] != a16 {
 				return false
