@@ -11,8 +11,9 @@
 //
 // The paper's printed cooling schedule D(T) = T*(tmax-tmin)/tmax is a no-op
 // for its own experimental setting tmin = 0, so the intended monotone
-// geometric schedule T <- CoolRatio*T is used (documented deviation; see
-// DESIGN.md).
+// geometric schedule T <- coolRatio*T is used (documented deviation; see
+// DESIGN.md). The starting temperature is scaled to the objective's move
+// magnitude from a probe of random moves; the cooling schedule is fixed.
 package anneal
 
 import (
@@ -34,39 +35,23 @@ import (
 	"repro/internal/score"
 )
 
-// ExplicitZero marks an Options field as deliberately zero. The zero value
-// of Options must keep selecting the documented defaults, which makes a
-// literal 0 for CoolRatio, RefusalLimit or HighTempFraction inexpressible —
-// it would be silently replaced by the default. Setting any negative value
-// (this constant reads best) normalizes to a true 0 instead: CoolRatio 0
-// freezes at the first equilibrium, RefusalLimit 0 declares equilibrium at
-// every refused move, HighTempFraction 0 disables the high-temperature
-// targeting phase entirely (the run is "always cold").
-const ExplicitZero = -1
+// The fixed cooling schedule. Typed, so constant arithmetic rounds to
+// float64 exactly as run-time arithmetic does.
+const (
+	// coolRatio is the geometric cooling factor.
+	coolRatio float64 = 0.97
+	// refusalLimit is the number of refused moves that declares equilibrium
+	// at the current temperature.
+	refusalLimit = 48
+	// highTempFraction: above tMax*highTempFraction the perturbation targets
+	// the lowest-internal-weight part.
+	highTempFraction float64 = 0.5
+)
 
-// Options configures the annealer. The paper emphasizes that SA is the
-// simplest method to tune, with a single main parameter (TMax).
+// Options configures the annealer.
 type Options struct {
 	// Objective is the energy function (default MCut, the ATC objective).
 	Objective objective.Objective
-	// TMax is the starting temperature (default 1.0; energies here are
-	// O(1) per part for Ncut/Mcut).
-	TMax float64
-	// TMin is the freezing point (default TMax/1e4; the paper uses 0 with
-	// a step budget, we freeze a little above to terminate).
-	TMin float64
-	// CoolRatio is the geometric cooling factor (default 0.97; a negative
-	// value — ExplicitZero — means a true 0: freeze at first equilibrium).
-	CoolRatio float64
-	// RefusalLimit is the number of refused moves that declares
-	// equilibrium at the current temperature (default 48; a negative value
-	// — ExplicitZero — means a true 0: cool at every refused move).
-	RefusalLimit int
-	// HighTempFraction: above TMax*HighTempFraction the perturbation
-	// targets the lowest-internal-weight part (default 0.5; a negative
-	// value — ExplicitZero — means a true 0: the high-temperature phase is
-	// disabled and every proposal uses the cold random-connected-part draw).
-	HighTempFraction float64
 	// MaxSteps caps the number of proposed moves (default 200k).
 	MaxSteps int
 	// Budget caps wall-clock time; 0 means no time limit.
@@ -83,28 +68,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	// TMax defaults to 0 here and is auto-scaled to the objective's move
-	// magnitude inside Partition (the paper tunes tmax by hand per run; an
-	// absolute default cannot fit Cut's ~1e3 deltas and Ncut's ~1e-2 deltas
-	// at the same time).
-	switch {
-	case o.CoolRatio == 0:
-		o.CoolRatio = 0.97
-	case o.CoolRatio < 0:
-		o.CoolRatio = 0 // ExplicitZero: freeze at the first equilibrium
-	}
-	switch {
-	case o.RefusalLimit == 0:
-		o.RefusalLimit = 48
-	case o.RefusalLimit < 0:
-		o.RefusalLimit = 0 // ExplicitZero: cool at every refused move
-	}
-	switch {
-	case o.HighTempFraction == 0:
-		o.HighTempFraction = 0.5
-	case o.HighTempFraction < 0:
-		o.HighTempFraction = 0 // ExplicitZero: always cold
-	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 200_000
 	}
@@ -180,12 +143,13 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	})
 	loop.Improved(bestE, best.Compact)
 
-	if opt.TMax == 0 {
-		opt.TMax = autoTemperature(tr, opt.Objective, eps, r)
-	}
-	if opt.TMin == 0 {
-		opt.TMin = opt.TMax / 1e4
-	}
+	// The starting temperature is scaled to the objective's move magnitude
+	// (the paper tunes tmax by hand per run; an absolute value cannot fit
+	// Cut's ~1e3 deltas and Ncut's ~1e-2 deltas at the same time). The
+	// paper freezes at 0 with a step budget; we freeze a little above it to
+	// terminate.
+	tMax := autoTemperature(tr, opt.Objective, eps, r)
+	tMin := tMax / 1e4
 
 	// Soft balance cap, mirroring fusion-fission: Ncut/Mcut self-balance
 	// through their denominators, plain Cut does not — without a cap the
@@ -199,14 +163,14 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	// of a random 8-byte load per proposal (bit-identical; see graph docs).
 	unitVW := g.UnitVertexWeights()
 
-	t := opt.TMax
+	t := tMax
 	// invT and hot are pure functions of t, recomputed only when it changes
 	// (cooling, freezing restart): the Metropolis test multiplies by the
 	// reciprocal instead of dividing, and the hot/cold phase branch — a float
 	// compare whose outcome flips a handful of times per run — moves out of
 	// the per-proposal path entirely.
 	invT := 1 / t
-	hot := hotPhase(t, opt)
+	hot := hotPhase(t, tMax)
 	refused := 0
 	// Reusable candidate scratch for chooseTarget (same timestamp-mark
 	// pattern as refine.KWay): the cold-phase target draw runs once per
@@ -239,7 +203,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 				loop.Improved(bestE, best.Compact)
 			}
 		}
-		if t <= opt.TMin {
+		if t <= tMin {
 			if opt.Budget <= 0 {
 				break // no time budget: one annealing cycle, as printed
 			}
@@ -250,9 +214,9 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			cur.CopyFrom(best)
 			tr.Rebuild()
 			curE = tr.Value()
-			t = opt.TMax
+			t = tMax
 			invT = 1 / t
-			hot = hotPhase(t, opt)
+			hot = hotPhase(t, tMax)
 			refused = 0
 		}
 		if batchPos == proposalBatchSize {
@@ -307,10 +271,10 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			}
 		} else {
 			refused++
-			if refused >= opt.RefusalLimit {
-				t *= opt.CoolRatio // equilibrium reached: cool
+			if refused >= refusalLimit {
+				t *= coolRatio // equilibrium reached: cool
 				invT = 1 / t
-				hot = hotPhase(t, opt)
+				hot = hotPhase(t, tMax)
 				refused = 0
 			}
 		}
@@ -350,8 +314,8 @@ type targetScratch struct {
 // former NonEmptyParts scan, without the per-proposal slice allocation and
 // O(k) PartInternalOrdered sweep), and the cold draw reuses the
 // timestamp-mark scratch.
-func chooseTarget(p *partition.P, v int, t float64, opt Options, s *targetScratch, r *rand.Rand) int {
-	if hotPhase(t, opt) {
+func chooseTarget(p *partition.P, v int, t, tMax float64, s *targetScratch, r *rand.Rand) int {
+	if hotPhase(t, tMax) {
 		return p.MinInternalPart(p.Part(v))
 	}
 	return coldTarget(p, v, s, r)
@@ -360,8 +324,8 @@ func chooseTarget(p *partition.P, v int, t float64, opt Options, s *targetScratc
 // hotPhase reports whether temperature t selects the high-temperature
 // "feed the starving part" target. The Metropolis loop evaluates it only
 // when t changes; chooseTarget keeps it inline for per-call users.
-func hotPhase(t float64, opt Options) bool {
-	return opt.HighTempFraction > 0 && t > opt.TMax*opt.HighTempFraction
+func hotPhase(t, tMax float64) bool {
+	return t > tMax*highTempFraction
 }
 
 // coldTarget draws a random part among those v is connected to — the
@@ -516,7 +480,7 @@ func fallbackTemperature(cur *partition.P, obj objective.Objective, eps float64)
 
 // smallestTemperature is the floor of the derived fallback: a weightless
 // graph has no objective scale at all, and any positive temperature keeps
-// the schedule well-formed (TMin = TMax/1e4 > 0, Boltzmann finite).
+// the schedule well-formed (tMin = tMax/1e4 > 0, Boltzmann finite).
 const smallestTemperature = 1e-12
 
 // smoothingEps returns a smoothing epsilon small relative to the mean

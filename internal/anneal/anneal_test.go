@@ -122,8 +122,7 @@ func TestChooseTargetHotPicksStarving(t *testing.T) {
 	// 3 parts on a path; part 2 has no internal edges at all.
 	g := graph.Path(6)
 	p, _ := partition.FromAssignment(g, []int32{0, 0, 1, 1, 2, 1}, 3)
-	opt := Options{TMax: 1.0}.withDefaults()
-	got := chooseTarget(p, 0, opt.TMax, opt, nil, nil) // hot: never needs rng or scratch
+	got := chooseTarget(p, 0, 1.0, 1.0, nil, nil) // hot: never needs rng or scratch
 	if got != 2 {
 		t.Fatalf("hot target = %d, want the starving part 2", got)
 	}

@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/objective"
-	"repro/internal/partition"
 	"repro/internal/order"
+	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/score"
 )
@@ -128,7 +128,7 @@ func allocScanTarget(p *partition.P, v int) int {
 // and "hot-allocscan" force the high-temperature branch (real argmin vs the
 // frozen replica), "cold" forces the random-connected-part draw. Returns
 // the number of accepted moves so the work cannot be optimized away.
-func proposalBurst(tr *score.Tracker, s *targetScratch, r *rand.Rand, opt Options, t, maxPartVW, eps float64, steps int, mode string) int {
+func proposalBurst(tr *score.Tracker, s *targetScratch, r *rand.Rand, tMax, t, maxPartVW, eps float64, steps int, mode string) int {
 	p := tr.Partition()
 	g := p.Graph()
 	n := g.NumVertices()
@@ -180,7 +180,7 @@ func proposalBurst(tr *score.Tracker, s *targetScratch, r *rand.Rand, opt Option
 		case modeHotArgmin:
 			to = p.MinInternalPart(from)
 		default: // cold
-			to = chooseTarget(p, v, t, opt, s, r)
+			to = chooseTarget(p, v, t, tMax, s, r)
 		}
 		if to < 0 || to == from {
 			continue
@@ -227,7 +227,7 @@ type modeSpec struct {
 // runs once before any runs again — so a machine-load drift during the
 // measurement biases all modes alike instead of whichever happened to run in
 // the slow window; the speedup ratios stay trustworthy on a shared box.
-func measureModes(tb testing.TB, g *graph.Graph, assign []int32, k int, opt Options, eps, maxPartVW float64, steps, reps int, specs []modeSpec) map[string]float64 {
+func measureModes(tb testing.TB, g *graph.Graph, assign []int32, k int, tMax, eps, maxPartVW float64, steps, reps int, specs []modeSpec) map[string]float64 {
 	tb.Helper()
 	best := make(map[string]float64, len(specs))
 	for rep := 0; rep < reps; rep++ {
@@ -240,7 +240,7 @@ func measureModes(tb testing.TB, g *graph.Graph, assign []int32, k int, opt Opti
 			s := &targetScratch{mark: make([]int64, p.Capacity())}
 			r := rng.New(3)
 			start := time.Now()
-			proposalBurst(tr, s, r, opt, spec.temp, maxPartVW, eps, steps, spec.mode)
+			proposalBurst(tr, s, r, tMax, spec.temp, maxPartVW, eps, steps, spec.mode)
 			if rate := float64(steps) / time.Since(start).Seconds(); rate > best[spec.mode] {
 				best[spec.mode] = rate
 			}
@@ -249,7 +249,7 @@ func measureModes(tb testing.TB, g *graph.Graph, assign []int32, k int, opt Opti
 	return best
 }
 
-func benchSetup(tb testing.TB, n int, radius float64, k int, seed int64) (*graph.Graph, []int32, Options, float64, float64) {
+func benchSetup(tb testing.TB, n int, radius float64, k int, seed int64) (*graph.Graph, []int32, float64, float64, float64) {
 	tb.Helper()
 	g := graph.RandomGeometric(n, radius, 1)
 	// The acceptance harness measures the cache-native layout the facade
@@ -268,19 +268,18 @@ func benchSetup(tb testing.TB, n int, radius float64, k int, seed int64) (*graph
 	for v := range assign {
 		assign[v] = int32(r.Intn(k))
 	}
-	opt := Options{TMax: 1}.withDefaults()
 	eps := smoothingEps(g)
 	maxPartVW := 2.0 * g.TotalVertexWeight() / float64(k)
-	return g, assign, opt, eps, maxPartVW
+	return g, assign, 1.0, eps, maxPartVW
 }
 
 func BenchmarkAnnealSteps(b *testing.B) {
 	const k = 32
-	g, assign, opt, eps, maxPartVW := benchSetup(b, 2000, 0.04, k, 7)
+	g, assign, tMax, eps, maxPartVW := benchSetup(b, 2000, 0.04, k, 7)
 	for _, mode := range []string{"hot-allocscan", "hot-argmin", "cold"} {
-		t := opt.TMax // hot
+		t := tMax // hot
 		if mode == "cold" {
-			t = opt.TMax * 0.1
+			t = tMax * 0.1
 		}
 		b.Run(mode, func(b *testing.B) {
 			p, err := partition.FromAssignment(g, assign, k)
@@ -293,7 +292,7 @@ func BenchmarkAnnealSteps(b *testing.B) {
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				proposalBurst(tr, s, r, opt, t, maxPartVW, eps, 1000, mode)
+				proposalBurst(tr, s, r, tMax, t, maxPartVW, eps, 1000, mode)
 			}
 			elapsed := time.Since(start).Seconds()
 			if elapsed > 0 {
@@ -378,13 +377,13 @@ func TestWriteAnnealBaseline(t *testing.T) {
 	}
 	const k = 32
 	const steps = 200_000
-	g, assign, opt, eps, maxPartVW := benchSetup(t, 10000, 0.02, k, 7)
+	g, assign, tMax, eps, maxPartVW := benchSetup(t, 10000, 0.02, k, 7)
 
-	rates := measureModes(t, g, assign, k, opt, eps, maxPartVW, steps, 5,
+	rates := measureModes(t, g, assign, k, tMax, eps, maxPartVW, steps, 5,
 		[]modeSpec{
-			{"hot-allocscan", opt.TMax},
-			{"hot-argmin", opt.TMax},
-			{"cold", opt.TMax * 0.1},
+			{"hot-allocscan", tMax},
+			{"hot-argmin", tMax},
+			{"cold", tMax * 0.1},
 		})
 
 	doc := annealBaseline{
@@ -465,7 +464,7 @@ func TestWriteAnnealBaseline(t *testing.T) {
 		r := rng.New(3)
 		p.MinInternalPart(-1) // arm the argmin heap outside the measurement
 		allocs := testing.AllocsPerRun(10, func() {
-			proposalBurst(tr, s, r, opt, opt.TMax, maxPartVW, eps, 1000, "hot-argmin")
+			proposalBurst(tr, s, r, tMax, tMax, maxPartVW, eps, 1000, "hot-argmin")
 		})
 		doc.AllocsPerStep = allocs / 1000
 	}
@@ -540,11 +539,11 @@ func TestAnnealBenchSmoke(t *testing.T) {
 
 	const k = 32
 	const steps = 50_000
-	g, assign, opt, eps, maxPartVW := benchSetup(t, 2000, 0.04, k, 7)
-	rates := measureModes(t, g, assign, k, opt, eps, maxPartVW, steps, 3,
+	g, assign, tMax, eps, maxPartVW := benchSetup(t, 2000, 0.04, k, 7)
+	rates := measureModes(t, g, assign, k, tMax, eps, maxPartVW, steps, 3,
 		[]modeSpec{
-			{"hot-argmin", opt.TMax},
-			{"hot-allocscan", opt.TMax},
+			{"hot-argmin", tMax},
+			{"hot-allocscan", tMax},
 		})
 	speedup := rates["hot-argmin"] / rates["hot-allocscan"]
 	t.Logf("smoke hot-path speedup %.2fx (baseline %.2fx)", speedup, base.HotSpeedup)

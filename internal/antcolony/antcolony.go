@@ -7,9 +7,10 @@
 // colonies may stand on the same vertex, so part connectivity is never
 // forced. Vertex food is the weighted degree, as the paper suggests.
 //
-// The four tunable parameters the paper counts are Alpha, Beta, Rho and
-// AntsPerColony. The search is seeded with the percolation partition
-// (figure 1 starts the ant colony from the percolation result).
+// The paper's tunable parameters (alpha, beta, rho and the ants per colony)
+// are fixed constants of this package. The search is seeded with the
+// percolation partition (figure 1 starts the ant colony from the
+// percolation result).
 package antcolony
 
 import (
@@ -32,24 +33,8 @@ import (
 type Options struct {
 	// Objective is the energy function (default MCut).
 	Objective objective.Objective
-	// Alpha weights pheromone in the transition rule (default 1).
-	Alpha float64
-	// Beta weights the edge-weight heuristic (default 2).
-	Beta float64
-	// Rho is the evaporation rate in (0,1) (default 0.05).
-	Rho float64
-	// AntsPerColony is the number of ants each colony deploys per
-	// iteration (default 4).
-	AntsPerColony int
-	// WalkLength is the number of steps each ant takes (default 10).
-	WalkLength int
 	// Iterations caps the number of colony iterations (default 4000).
 	Iterations int
-	// DaemonPeriod is how often (in iterations) the centralized daemon
-	// action runs — the optional third ACO step of section 3.2, here one
-	// greedy boundary-refinement pass whose result is reinforced with
-	// pheromone. 0 means the default (20); negative disables it.
-	DaemonPeriod int
 	// Budget caps wall-clock time; 0 means no limit.
 	Budget time.Duration
 	// Seed drives all randomness.
@@ -64,26 +49,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Alpha == 0 {
-		o.Alpha = 1
-	}
-	if o.Beta == 0 {
-		o.Beta = 2
-	}
-	if o.Rho == 0 {
-		o.Rho = 0.05
-	}
-	if o.AntsPerColony == 0 {
-		o.AntsPerColony = 4
-	}
-	if o.WalkLength == 0 {
-		o.WalkLength = 10
-	}
 	if o.Iterations == 0 {
 		o.Iterations = 4000
-	}
-	if o.DaemonPeriod == 0 {
-		o.DaemonPeriod = 20
 	}
 	return o
 }
@@ -108,6 +75,21 @@ const (
 	exploreGain = 3.0  // attraction multiplier for unexplored edges
 	depositQ    = 0.25 // pheromone laid per visited vertex, scaled by food
 	eliteQ      = 0.5  // bonus laid on internal edges of a new best partition
+
+	// The paper's tuning parameters, typed so that constant arithmetic
+	// rounds to float64 exactly as run-time arithmetic does.
+	alpha float64 = 1    // weight of pheromone in the transition rule
+	beta  float64 = 2    // weight of the edge-weight heuristic
+	rho   float64 = 0.05 // evaporation rate, in (0,1)
+	// antsPerColony is the number of ants each colony deploys per iteration.
+	antsPerColony = 4
+	// walkLength is the number of steps each ant takes.
+	walkLength = 10
+	// daemonPeriod is how often (in iterations) the centralized daemon
+	// action runs — the optional third ACO step of section 3.2, here one
+	// greedy boundary-refinement pass whose result is reinforced with
+	// pheromone.
+	daemonPeriod = 20
 )
 
 // Partition runs the competing-colonies search and returns the best
@@ -125,9 +107,6 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	n := g.NumVertices()
 	if k < 2 || k > n {
 		return nil, fmt.Errorf("antcolony: k=%d out of range [2,%d]", k, n)
-	}
-	if opt.Rho <= 0 || opt.Rho >= 1 {
-		return nil, fmt.Errorf("antcolony: rho=%g out of (0,1)", opt.Rho)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -233,14 +212,14 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		// March the ants.
 		for c := 0; c < k; c++ {
 			territory := cur.VerticesOf(c)
-			for a := 0; a < opt.AntsPerColony; a++ {
+			for a := 0; a < antsPerColony; a++ {
 				var at int
 				if len(territory) > 0 {
 					at = int(territory[r.Intn(len(territory))])
 				} else {
 					at = r.Intn(n) // colony dispossessed: scout anywhere
 				}
-				for step := 0; step < opt.WalkLength; step++ {
+				for step := 0; step < walkLength; step++ {
 					nbrs := g.Neighbors(at)
 					if len(nbrs) == 0 {
 						break
@@ -250,8 +229,8 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 					probs = probs[:0]
 					for i := range nbrs {
 						ph := tau[int(eids[i])*k+c]
-						attract := math.Pow(ph+tau0, opt.Alpha) *
-							math.Pow(wts[i]/maxW+0.1, opt.Beta)
+						attract := math.Pow(ph+tau0, alpha) *
+							math.Pow(wts[i]/maxW+0.1, beta)
 						if ph < exploreTau {
 							attract *= exploreGain // the paper's exploration heuristic
 						}
@@ -272,7 +251,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		// Evaporate. Element-wise scaling is order-independent, so one pass
 		// over the flat field matches the old per-colony loops exactly.
 		for i := range tau {
-			tau[i] *= 1 - opt.Rho
+			tau[i] *= 1 - rho
 		}
 		// Ownership: strongest incident pheromone wins; ties keep owner.
 		reassignByPheromone(g, tau, k, colonySums, tr, maxPartVW)
@@ -280,7 +259,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		// 3.2): periodically smooth the ownership boundary with one greedy
 		// refinement pass and lay pheromone along the improved interior so
 		// the colonies retain it.
-		if opt.DaemonPeriod > 0 && (loop.Steps()-1)%opt.DaemonPeriod == opt.DaemonPeriod-1 {
+		if (loop.Steps()-1)%daemonPeriod == daemonPeriod-1 {
 			refine.KWay(cur, refine.KWayOptions{
 				Objective: opt.Objective, MaxPasses: 1, Imbalance: capFactor - 1, Ctx: ctx,
 			})

@@ -89,9 +89,6 @@ func TestColonyErrors(t *testing.T) {
 	if _, err := Partition(g, 6, Options{}); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	if _, err := Partition(g, 2, Options{Rho: 1.5}); err == nil {
-		t.Fatal("rho out of range accepted")
-	}
 }
 
 func TestEdgeIDsCoverPheromoneIndex(t *testing.T) {

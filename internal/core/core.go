@@ -17,10 +17,8 @@
 // objective (see energy.go) makes energies comparable across part counts.
 // Temperature decreases linearly (the paper: "the temperature will decrease
 // nbt times before reaching tmin"); at the freezing point the search
-// restarts from the best partition found, reheated to TMax.
-//
-// The five tunable parameters the paper counts are TMax, TMin and NbT for
-// the temperature plus Kappa and R in the choice function alpha(t).
+// restarts from the best partition found, reheated to tMax. The paper's
+// tuning parameters are fixed constants of this package.
 package core
 
 import (
@@ -30,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fastmath"
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/partition"
@@ -41,19 +38,6 @@ type Options struct {
 	// Objective is the criterion to minimize (default MCut, the paper's
 	// ATC objective).
 	Objective objective.Objective
-	// TMax and TMin bound the temperature (defaults 1.0 and 0.02).
-	TMax, TMin float64
-	// NbT is the number of cooling steps from TMax to TMin (default 400).
-	NbT int
-	// Kappa and R shape the choice function alpha(t) = Kappa*(TMax-t)/
-	// (TMax-TMin) + R (defaults 2.0 and 1.0 — the paper leaves both "to be
-	// adjusted by the user"; R = 1 keeps the fusion/fission band tight even
-	// when hot, which tunes best on the airspace workload). Larger alpha
-	// narrows the size band within which both fusion and fission stay
-	// likely.
-	Kappa, R float64
-	// LawDelta is the law-learning increment (default 0.04).
-	LawDelta float64
 	// MaxSteps caps the number of fusion/fission events (default 60000).
 	MaxSteps int
 	// Budget caps wall-clock time; 0 means no limit.
@@ -66,8 +50,6 @@ type Options struct {
 	// portfolio incumbent exchange and the live-progress monitor. Nil for
 	// standalone runs.
 	Runtime *engine.Runtime
-	// Choice selects the fusion/fission decision rule; see ChoiceFunc.
-	Choice ChoiceFunc
 	// DisablePercolationFission splits atoms randomly instead of with
 	// percolation (ablation of section 4.4).
 	DisablePercolationFission bool
@@ -75,42 +57,27 @@ type Options struct {
 	DisableLawLearning bool
 }
 
-// ChoiceFunc selects the rule mapping atom size to fission probability.
-// The paper presents the clamped linear rule and remarks that "other choice
-// functions not presented here give better results, but are much more
-// complicated"; the sigmoid rule is one such smoother alternative.
-type ChoiceFunc int
-
+// The paper's tuning parameters, fixed. They are typed so that constant
+// arithmetic rounds to float64 at each step, exactly as the run-time
+// arithmetic on the former option fields did.
 const (
-	// ChoiceLinear is the paper's rule: fission probability 0 below
-	// nBar - 1/(2 alpha), 1 above nBar + 1/(2 alpha), linear in between.
-	ChoiceLinear ChoiceFunc = iota
-	// ChoiceSigmoid replaces the clamped ramp with the logistic curve
-	// 1/(1+exp(-2 alpha (x - nBar))): same center and slope at the center,
-	// but oversized and undersized atoms retain a small chance of the
-	// "wrong" event, which preserves exploration as the system cools.
-	ChoiceSigmoid
+	// tMax and tMin bound the temperature.
+	tMax float64 = 1.0
+	tMin float64 = 0.02
+	// nbT is the number of cooling steps from tMax to tMin.
+	nbT = 400
+	// kappa and r shape the choice function alpha(t) = kappa*(tMax-t)/
+	// (tMax-tMin) + r. The paper leaves both "to be adjusted by the user";
+	// r = 1 keeps the fusion/fission band tight even when hot, which tunes
+	// best on the airspace workload. Larger alpha narrows the size band
+	// within which both fusion and fission stay likely.
+	kappa float64 = 2.0
+	r     float64 = 1.0
+	// lawDelta is the law-learning increment.
+	lawDelta float64 = 0.04
 )
 
 func (o Options) withDefaults() Options {
-	if o.TMax == 0 {
-		o.TMax = 1.0
-	}
-	if o.TMin == 0 {
-		o.TMin = 0.02
-	}
-	if o.NbT == 0 {
-		o.NbT = 400
-	}
-	if o.Kappa == 0 {
-		o.Kappa = 2.0
-	}
-	if o.R == 0 {
-		o.R = 1.0
-	}
-	if o.LawDelta == 0 {
-		o.LawDelta = 0.04
-	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 60_000
 	}
@@ -155,9 +122,6 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	if k < 2 || k > n {
 		return nil, fmt.Errorf("core: k=%d out of range [2,%d]", k, n)
 	}
-	if opt.TMin >= opt.TMax {
-		return nil, fmt.Errorf("core: TMin=%g must be below TMax=%g", opt.TMin, opt.TMax)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -191,14 +155,14 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 
 	// Algorithm 1. Only the paper-specific event remains in the body: the
 	// engine loop owns budget, step cap and cancellation.
-	t := opt.TMax
-	cool := (opt.TMax - opt.TMin) / float64(opt.NbT)
+	t := tMax
+	cool := (tMax - tMin) / float64(nbT)
 	for loop.Next() {
 		atom := s.chooseAtom()
 		if atom < 0 {
 			break
 		}
-		tFrac := (t - opt.TMin) / (opt.TMax - opt.TMin)
+		tFrac := (t - tMin) / (tMax - tMin)
 		var kind lawKind
 		var size int
 		var eject int
@@ -227,12 +191,12 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		}
 		newE := s.afterEvent(loop)
 		if !opt.DisableLawLearning {
-			s.laws.update(kind, size, eject, newE < prevE, opt.LawDelta)
+			s.laws.update(kind, size, eject, newE < prevE, lawDelta)
 		}
 		prevE = newE
 
 		t -= cool
-		if t <= opt.TMin {
+		if t <= tMin {
 			// Freezing point: every loose nucleon settles (cold
 			// consolidation), then the search restarts from the best
 			// partition, reheated — a portfolio peer's strictly better
@@ -243,7 +207,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 				s.cur.CopyFrom(s.bestOverall)
 			}
 			prevE = s.energy.energy(s.cur)
-			t = opt.TMax
+			t = tMax
 		}
 	}
 
@@ -273,25 +237,20 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 // than nBar + 1/(2 alpha(t)), 0 below nBar - 1/(2 alpha(t)), and linear in
 // between. alpha grows as the system cools, sharpening the band.
 func (s *search) drawFission(atom int, t float64) bool {
-	opt := s.opt
 	x := float64(s.cur.PartSize(atom))
 	nBar := float64(s.g.NumVertices()) / float64(s.k)
-	alpha := opt.Kappa*(opt.TMax-t)/(opt.TMax-opt.TMin) + opt.R
+	alpha := kappa*(tMax-t)/(tMax-tMin) + r
 	if alpha <= 0 {
 		alpha = 1e-9
 	}
 	var pFission float64
-	if opt.Choice == ChoiceSigmoid {
-		pFission = sigmoidChoice(alpha, x, nBar)
-	} else {
-		switch half := 1 / (2 * alpha); {
-		case x > nBar+half:
-			pFission = 1
-		case x < nBar-half:
-			pFission = 0
-		default:
-			pFission = alpha*(x-nBar) + 0.5
-		}
+	switch half := 1 / (2 * alpha); {
+	case x > nBar+half:
+		pFission = 1
+	case x < nBar-half:
+		pFission = 0
+	default:
+		pFission = alpha*(x-nBar) + 0.5
 	}
 	if s.cur.NumParts() <= 2 {
 		pFission = math.Max(pFission, 0.1) // never collapse to one atom
@@ -300,29 +259,6 @@ func (s *search) drawFission(atom int, t float64) bool {
 		return false // singletons cannot split
 	}
 	return s.r.Float64() < pFission
-}
-
-// sigmoidChoice is the ChoiceSigmoid fission probability
-// 1/(1+exp(-2 alpha (x-nBar))), with the exponent clamped before the
-// exponential is evaluated: the former inline math.Exp was unguarded, so a
-// large cold-phase alpha on a far-oversized atom drove the argument past the
-// overflow threshold and the probability silently through Inf arithmetic.
-// |z| > 700 now short-circuits to the saturated 0/1 the sigmoid converges
-// to, and a NaN argument (degenerate alpha) keeps the legacy
-// "comparison-with-NaN never fissions" behavior explicitly. The interior
-// uses fastmath.Exp; the default Choice is the paper's piecewise-linear law,
-// so golden trajectories are unaffected.
-func sigmoidChoice(alpha, x, nBar float64) float64 {
-	z := -2 * alpha * (x - nBar)
-	switch {
-	case math.IsNaN(z):
-		return 0 // never fission, as the old NaN-poisoned compare decided
-	case z > 700:
-		return 0 // exp overflows: sigmoid saturated at 0
-	case z < -700:
-		return 1 // exp underflows: sigmoid saturated at 1
-	}
-	return 1 / (1 + fastmath.Exp(z))
 }
 
 // doFission breaks the atom with percolation, ejects nucleons per the law,

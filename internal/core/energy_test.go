@@ -69,22 +69,3 @@ func TestMoveDeltaMatchesFullEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSigmoidChoiceRuns(t *testing.T) {
-	g := graph.Grid2D(8, 8)
-	res, err := Partition(g, 4, Options{Seed: 2, MaxSteps: 1500, Choice: ChoiceSigmoid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.NumParts() != 4 {
-		t.Fatalf("NumParts = %d", res.Best.NumParts())
-	}
-	// Distinct rngs consumption means the linear run differs; both valid.
-	lin, err := Partition(g, 4, Options{Seed: 2, MaxSteps: 1500, Choice: ChoiceLinear})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lin.Best.NumParts() != 4 {
-		t.Fatalf("linear NumParts = %d", lin.Best.NumParts())
-	}
-}

@@ -162,7 +162,7 @@ func (s *search) initialize(ctx context.Context) bool {
 	learnFrom := func(kind lawKind, size, eject int) {
 		if learn {
 			e := s.energy.energy(s.cur)
-			s.laws.update(kind, size, eject, e < prevE, s.opt.LawDelta)
+			s.laws.update(kind, size, eject, e < prevE, lawDelta)
 			prevE = e
 		}
 	}

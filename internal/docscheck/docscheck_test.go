@@ -2,12 +2,15 @@ package docscheck
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -196,5 +199,161 @@ func TestNoEnvironmentKnobs(t *testing.T) {
 	}
 	if files < 50 {
 		t.Fatalf("only %d production files found — checker miswired?", files)
+	}
+}
+
+// optionAllowlist names the exported Options fields that stay although no
+// production file outside their package sets them. A key is
+// "pkg.Type.Field", or "pkg.Type" to allow every field of one struct.
+var optionAllowlist = map[string]string{
+	"multilevel.Options.DisableRefine":    "the section 2.3 no-refinement row of bench_test.go sets it",
+	"percolation.Options.Seeds":           "tests place the liquids with it",
+	"experiments.VarianceOptions.Seeds":   "the step-capped Table 1 statistics build on it",
+	"experiments.VarianceOptions.Methods": "the step-capped Table 1 statistics build on it",
+	"experiments.Table1Options.MetaSteps": "the step-capped Table 1 statistics build on it",
+	"eig.MinresOptions":                   "its only caller is RQI, in the same package",
+}
+
+// TestOptionFieldsAreSet fails when an exported field of an internal
+// *Options struct is set by no production file outside its own package,
+// either as a composite-literal key or by assignment. Such a field is a
+// knob nothing turns: it belongs in a constant, with its one code path.
+// The root module is type-checked from source, so fields are matched by
+// their declaration, not by name.
+func TestOptionFieldsAreSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module from source")
+	}
+	root := repoRoot(t)
+	dirs := map[string][]string{} // package dir -> non-test .go files
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+				return filepath.SkipDir // a nested module, not part of this one
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			dirs[filepath.Dir(path)] = append(dirs[filepath.Dir(path)], path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	declared := map[string]string{} // field position -> "pkg.Type.Field"
+	setFrom := map[string]bool{}    // field position + "@" + setter dir
+	for dir, paths := range dirs {
+		var files []*ast.File
+		for _, p := range paths {
+			f, err := parser.ParseFile(fset, p, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(files[0].Name.Name, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", dir, err)
+		}
+		rel, _ := filepath.Rel(root, dir)
+		if strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
+			for _, name := range pkg.Scope().Names() {
+				tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+				if !ok || !tn.Exported() || !strings.HasSuffix(name, "Options") {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						declared[fset.Position(f.Pos()).String()] = pkg.Name() + "." + name + "." + f.Name()
+					}
+				}
+			}
+		}
+		// markSet records that dir sets the field id resolves to.
+		markSet := func(id *ast.Ident) {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+				setFrom[fset.Position(v.Pos()).String()+"@"+dir] = true
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						markSet(id)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							markSet(sel.Sel)
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok {
+						markSet(sel.Sel)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(declared) < 10 {
+		t.Fatalf("only %d Options fields found — checker miswired?", len(declared))
+	}
+
+	declDir := func(pos string) string {
+		return filepath.Dir(strings.SplitN(pos, ":", 2)[0])
+	}
+	var unset []string
+	for pos, field := range declared {
+		parts := strings.Split(field, ".")
+		if _, ok := optionAllowlist[field]; ok {
+			continue
+		}
+		if _, ok := optionAllowlist[parts[0]+"."+parts[1]]; ok {
+			continue
+		}
+		set := false
+		for dir := range dirs {
+			if dir != declDir(pos) && setFrom[pos+"@"+dir] {
+				set = true
+				break
+			}
+		}
+		if !set {
+			unset = append(unset, field)
+		}
+	}
+	sort.Strings(unset)
+	for _, field := range unset {
+		t.Errorf("%s: no production file outside its package sets it; make it a constant", field)
+	}
+	for key := range optionAllowlist {
+		found := false
+		for _, field := range declared {
+			if field == key || strings.HasPrefix(field, key+".") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("allowlist entry %s names no Options field", key)
+		}
 	}
 }

@@ -61,7 +61,7 @@ func BenchmarkRQIPolish(b *testing.B) {
 	g := graph.Grid2D(32, 32)
 	l := sparse.Laplacian(g)
 	deflate := [][]float64{ConstantVector(g.NumVertices())}
-	_, rough, err := SmallestEigenpairs(l, 1, LanczosOptions{MaxDim: 25, Tol: 0.3, Deflate: deflate, Seed: 2})
+	_, rough, err := SmallestEigenpairs(l, 1, LanczosOptions{Tol: 0.3, Deflate: deflate, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

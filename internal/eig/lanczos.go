@@ -11,9 +11,6 @@ import (
 
 // LanczosOptions configures SmallestEigenpairs.
 type LanczosOptions struct {
-	// MaxDim caps the Krylov subspace dimension. 0 means automatic
-	// (min(n, max(2*nev+40, 80)), doubled on demand up to n).
-	MaxDim int
 	// Tol is the residual tolerance ||A y - theta y|| relative to the
 	// largest Ritz value magnitude. 0 means 1e-8.
 	Tol float64
@@ -45,13 +42,9 @@ func SmallestEigenpairs(a Operator, nev int, opt LanczosOptions) (values []float
 	if tol == 0 {
 		tol = 1e-8
 	}
-	dim := opt.MaxDim
-	if dim == 0 {
-		dim = 2*nev + 40
-		if dim < 80 {
-			dim = 80
-		}
-	}
+	// The Krylov subspace starts at min(n, max(2*nev+40, 80)) dimensions
+	// and doubles on demand up to n.
+	dim := max(2*nev+40, 80)
 	if dim > free {
 		dim = free
 	}

@@ -9,13 +9,6 @@ import (
 type RQIOptions struct {
 	// Tol is the eigen-residual tolerance relative to |lambda|+1. 0 = 1e-10.
 	Tol float64
-	// MaxIter caps the outer RQI iterations. 0 means 50.
-	MaxIter int
-	// InnerTol is the relative tolerance of the inner MINRES solves.
-	// 0 means 1e-2 (loose solves are enough for cubic outer convergence).
-	InnerTol float64
-	// InnerMaxIter caps each inner solve; 0 means 2*n.
-	InnerMaxIter int
 	// Deflate lists orthonormal vectors excluded from the iteration (the
 	// constant vector for Laplacians, plus any converged eigenvectors).
 	Deflate [][]float64
@@ -25,6 +18,14 @@ type RQIOptions struct {
 	// themselves. Nil means never cancelled.
 	Ctx context.Context
 }
+
+const (
+	// rqiMaxIter caps the outer RQI iterations.
+	rqiMaxIter = 50
+	// rqiInnerTol is the relative tolerance of the inner MINRES solves:
+	// loose solves are enough for cubic outer convergence.
+	rqiInnerTol float64 = 1e-2
+)
 
 // RQI refines the approximate eigenvector x0 of the symmetric operator a
 // with Rayleigh Quotient Iteration, solving each shifted system
@@ -40,18 +41,6 @@ func RQI(a Operator, x0 []float64, opt RQIOptions) (lambda float64, x []float64,
 	tol := opt.Tol
 	if tol == 0 {
 		tol = 1e-10
-	}
-	maxIter := opt.MaxIter
-	if maxIter == 0 {
-		maxIter = 50
-	}
-	innerTol := opt.InnerTol
-	if innerTol == 0 {
-		innerTol = 1e-2
-	}
-	innerMax := opt.InnerMaxIter
-	if innerMax == 0 {
-		innerMax = 2 * n
 	}
 
 	x = append([]float64(nil), x0...)
@@ -70,7 +59,7 @@ func RQI(a Operator, x0 []float64, opt RQIOptions) (lambda float64, x []float64,
 	if opt.Ctx != nil {
 		done = opt.Ctx.Done()
 	}
-	for k := 1; k <= maxIter; k++ {
+	for k := 1; k <= rqiMaxIter; k++ {
 		select {
 		case <-done:
 			return bestLambda, bestX, k - 1
@@ -87,8 +76,8 @@ func RQI(a Operator, x0 []float64, opt RQIOptions) (lambda float64, x []float64,
 		}
 		shifted := &Shifted{A: a, Sigma: lambda}
 		Minres(shifted, x, y, MinresOptions{
-			Tol:     innerTol,
-			MaxIter: innerMax,
+			Tol:     rqiInnerTol,
+			MaxIter: 2 * n,
 			Deflate: opt.Deflate,
 			Ctx:     opt.Ctx,
 		})
@@ -102,7 +91,7 @@ func RQI(a Operator, x0 []float64, opt RQIOptions) (lambda float64, x []float64,
 		a.MulVec(ax, x)
 		lambda = Dot(x, ax)
 	}
-	return bestLambda, bestX, maxIter
+	return bestLambda, bestX, rqiMaxIter
 }
 
 func residNorm(ax []float64, lambda float64, x []float64) float64 {

@@ -16,11 +16,10 @@
 //     of one solver, periodically exchanging incumbents KaFFPaE-style
 //     (Sanders & Schulz, Distributed Evolutionary Graph Partitioning) and
 //     reduced deterministically to a single winner.
-//   - Transport: the incumbent-exchange boundary itself, as an interface —
-//     the in-process barrier for single-machine portfolios, or a federated
-//     transport that additionally trades each round's local winner against
-//     peer islands through a Relay (the HTTP long-poll gossip in
-//     internal/server), turning a fleet of processes into one portfolio.
+//   - Relay: the cross-process side of the portfolio's exchange barrier —
+//     with one attached, each round's local winner is traded against peer
+//     islands (the HTTP long-poll gossip in internal/server), turning a
+//     fleet of processes into one portfolio.
 //
 // # Determinism
 //

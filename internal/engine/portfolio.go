@@ -11,8 +11,8 @@ import (
 // seed-correlated. Worker 0 keeps the base seed itself: a one-worker
 // portfolio consumes exactly the serial solver's random stream. In a
 // federated run the index is the worker's global index across the fleet
-// (PortfolioOptions.WorkerOffset + local index), so two islands sharing a
-// base seed never run identical streams.
+// (island × width + local index), so two islands sharing a base seed never
+// run identical streams.
 func DeriveSeed(base int64, worker int) int64 {
 	if worker == 0 {
 		return base
@@ -38,7 +38,7 @@ type Runtime struct {
 	// exchanges.
 	SyncEvery int
 
-	transport Transport
+	transport *exchanger
 }
 
 // Solo returns a runtime that shares this one's monitor, worker index and
@@ -90,7 +90,8 @@ type PortfolioOptions struct {
 	// goroutine and is bit-identical to a direct serial call.
 	Workers int
 	// Seed is the base seed; worker w solves with
-	// DeriveSeed(Seed, WorkerOffset+w).
+	// DeriveSeed(Seed, Island*Workers+w), so every worker across a fleet
+	// draws from a distinct stream even though all islands share Seed.
 	Seed int64
 	// SyncEvery is the incumbent-exchange cadence in loop steps (0 = the
 	// workers never exchange at step indices; manual Runtime.Exchange
@@ -100,12 +101,8 @@ type PortfolioOptions struct {
 	Monitor *Incumbent
 	// Island is this process's island index in a federated run; it stamps
 	// deposited candidates for the deterministic (energy, island, worker)
-	// tie-break. 0 for single-process runs.
+	// tie-break and offsets the worker seeds. 0 for single-process runs.
 	Island int
-	// WorkerOffset is added to local worker indices when deriving seeds —
-	// island*width in a federated fleet — so every worker across the fleet
-	// draws from a distinct stream even though all islands share Seed.
-	WorkerOffset int
 	// Relay, when non-nil, federates the portfolio: each exchange round's
 	// local winner is traded against the peer islands and the global winner
 	// is what every worker receives. A relay forces the transport path even
@@ -114,12 +111,12 @@ type PortfolioOptions struct {
 }
 
 // Portfolio runs one solver as opt.Workers concurrent, independently seeded
-// instances that exchange incumbents through a Transport (the in-process
-// barrier, federated across islands when a Relay is attached), and reduces
-// the outcomes to a deterministic winner: the lowest energy, ties to the
-// lowest worker index. Worker errors are tolerated while at least one worker
-// produces a result; if all fail, the lowest-indexed worker's error (or the
-// context's, once it fired) is returned.
+// instances that exchange incumbents through a barrier (federated across
+// islands when a Relay is attached), and reduces the outcomes to a
+// deterministic winner: the lowest energy, ties to the lowest worker index.
+// Worker errors are tolerated while at least one worker produces a result;
+// if all fail, the lowest-indexed worker's error (or the context's, once it
+// fired) is returned.
 func Portfolio[R any](ctx context.Context, opt PortfolioOptions,
 	energy func(R) float64,
 	solve func(ctx context.Context, rt *Runtime, seed int64) (R, error),
@@ -134,9 +131,10 @@ func Portfolio[R any](ctx context.Context, opt PortfolioOptions,
 			opt.Monitor.SetIsland(opt.Island)
 		}
 	}
+	offset := opt.Island * workers // the fleet-global index of local worker 0
 	if workers == 1 && opt.Relay == nil {
 		rt := &Runtime{Monitor: opt.Monitor, Worker: 0, Island: opt.Island, SyncEvery: opt.SyncEvery}
-		res, err := solve(ctx, rt, DeriveSeed(opt.Seed, opt.WorkerOffset))
+		res, err := solve(ctx, rt, DeriveSeed(opt.Seed, offset))
 		return res, 1, err
 	}
 
@@ -159,7 +157,7 @@ func Portfolio[R any](ctx context.Context, opt PortfolioOptions,
 			defer wg.Done()
 			rt := &Runtime{Monitor: opt.Monitor, Worker: w, Island: opt.Island, SyncEvery: opt.SyncEvery, transport: exch}
 			defer exch.Leave(w)
-			results[w], errs[w] = solve(ctx, rt, DeriveSeed(opt.Seed, opt.WorkerOffset+w))
+			results[w], errs[w] = solve(ctx, rt, DeriveSeed(opt.Seed, offset+w))
 		}(w)
 	}
 	wg.Wait()

@@ -222,7 +222,7 @@ func TestRuntimeSolo(t *testing.T) {
 		t.Fatal("nil.Solo() != nil")
 	}
 	mon := NewIncumbent()
-	rt := &Runtime{Monitor: mon, Worker: 3, SyncEvery: 64, transport: NewLocalTransport(2, nil)}
+	rt := &Runtime{Monitor: mon, Worker: 3, SyncEvery: 64, transport: newExchanger(2, 0, nil, nil)}
 	solo := rt.Solo()
 	if solo.Monitor != mon || solo.Worker != 3 {
 		t.Fatal("Solo dropped monitor or worker index")

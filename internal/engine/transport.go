@@ -49,29 +49,6 @@ func ReduceWinner(cands []Candidate) (Candidate, bool) {
 	return win, win.Has
 }
 
-// Transport is the incumbent-exchange boundary of a portfolio: workers
-// deposit their personal bests and receive each round's winner through it.
-// The in-process implementation (NewLocalTransport) is a barrier over a
-// mutex; a federated implementation additionally trades the local round
-// winner against peer islands over the network before the round completes.
-//
-// The contract every implementation honours:
-//
-//   - Sync deposits worker w's candidate (an empty Candidate re-uses the
-//     worker's previous deposit — slots persist across rounds), blocks until
-//     the round completes for every active member, and returns the round
-//     winner. After Stop, Sync returns the last winner immediately.
-//   - Leave withdraws a finished worker; a round in which every remaining
-//     member is already waiting completes without the departed worker, so a
-//     departure never deadlocks the rest.
-//   - Stop aborts all current and future rounds (context cancelled); every
-//     blocked Sync returns.
-type Transport interface {
-	Sync(worker int, own Candidate) (Candidate, bool)
-	Leave(worker int)
-	Stop()
-}
-
 // Relay trades one island's local round winner against its peers and returns
 // the global round winner (the deterministic reduction over all islands'
 // candidates, including the local one). Implementations block until the
@@ -84,12 +61,24 @@ type Relay interface {
 	Exchange(round uint64, local Candidate) (Candidate, bool, error)
 }
 
-// exchanger is the barrier-synchronized incumbent exchange: each round,
-// every active worker deposits its personal best, the last arriver reduces
-// the round winner (Candidate.Less), and all workers leave the barrier with
-// that same winner. Exchanging at step indices behind a barrier — rather
-// than whenever wall-clock timing lets a worker peek — is what keeps a
-// step-capped portfolio run deterministic.
+// exchanger is the barrier-synchronized incumbent exchange of a portfolio:
+// each round, every active worker deposits its personal best, the last
+// arriver reduces the round winner (Candidate.Less), and all workers leave
+// the barrier with that same winner. Exchanging at step indices behind a
+// barrier — rather than whenever wall-clock timing lets a worker peek — is
+// what keeps a step-capped portfolio run deterministic.
+//
+// The contract:
+//
+//   - Sync deposits worker w's candidate (an empty Candidate re-uses the
+//     worker's previous deposit — slots persist across rounds), blocks until
+//     the round completes for every active member, and returns the round
+//     winner. After Stop, Sync returns the last winner immediately.
+//   - Leave withdraws a finished worker; a round in which every remaining
+//     member is already waiting completes without the departed worker, so a
+//     departure never deadlocks the rest.
+//   - Stop aborts all current and future rounds (context cancelled); every
+//     blocked Sync returns.
 //
 // With a relay attached, the exchanger federates: the last arriver reduces
 // the local winner, releases the lock, trades it against the peer islands
@@ -112,21 +101,11 @@ type exchanger struct {
 	mon    *Incumbent // exchange-round telemetry; may be nil
 }
 
-// NewLocalTransport returns the in-process barrier transport for a
-// workers-wide portfolio. mon, when non-nil, receives one AddExchangeRound
-// per completed round for live progress reporting.
-func NewLocalTransport(workers int, mon *Incumbent) Transport {
-	return newExchanger(workers, 0, nil, mon)
-}
-
-// NewIslandTransport returns a federated transport: the local barrier of
-// NewLocalTransport, plus a relay trade of each round's local winner against
-// the peer islands. island stamps deposited candidates for the
-// deterministic (energy, island, worker) tie-break.
-func NewIslandTransport(workers, island int, relay Relay, mon *Incumbent) Transport {
-	return newExchanger(workers, island, relay, mon)
-}
-
+// newExchanger returns the barrier for a workers-wide portfolio. island
+// stamps deposited candidates for the deterministic (energy, island, worker)
+// tie-break; relay, when non-nil, trades each round's local winner against
+// the peer islands; mon, when non-nil, receives one AddExchangeRound per
+// completed round for live progress reporting.
 func newExchanger(workers, island int, relay Relay, mon *Incumbent) *exchanger {
 	x := &exchanger{members: workers, slots: make([]Candidate, workers), island: island, relay: relay, mon: mon}
 	x.cond = sync.NewCond(&x.mu)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestDeriveSeedWorkerOffset pins the federated seed schedule: worker w of
-// an island with offset o solves with DeriveSeed(base, o+w), worker 0 of
-// island 0 keeps the base seed (serial bit-identity), and no two workers
-// anywhere in a fleet share a stream.
+// island i in a width-wide fleet solves with DeriveSeed(base, i*width+w),
+// worker 0 of island 0 keeps the base seed (serial bit-identity), and no two
+// workers anywhere in a fleet share a stream.
 func TestDeriveSeedWorkerOffset(t *testing.T) {
 	const base, width = 42, 4
 
@@ -21,11 +21,11 @@ func TestDeriveSeedWorkerOffset(t *testing.T) {
 		t.Fatalf("DeriveSeed(base, 0) = %d, want the base seed %d", got, base)
 	}
 
-	// A portfolio with a worker offset must hand worker w the seed of
-	// global index offset+w, not local index w.
+	// An island-1 portfolio must hand worker w the seed of global index
+	// width+w, not local index w.
 	seeds := make([]int64, width)
 	_, _, err := Portfolio(context.Background(),
-		PortfolioOptions{Workers: width, Seed: base, Island: 1, WorkerOffset: 1 * width},
+		PortfolioOptions{Workers: width, Seed: base, Island: 1},
 		func(int) float64 { return 0 },
 		func(ctx context.Context, rt *Runtime, seed int64) (int, error) {
 			seeds[rt.Worker] = seed
@@ -89,7 +89,7 @@ func TestIslandTransportRelay(t *testing.T) {
 		global: Candidate{Assign: []int32{9}, Energy: 1, Island: 0, Worker: 2, Has: true},
 	}
 	mon := NewIncumbent()
-	tr := NewIslandTransport(2, 1, relay, mon)
+	tr := newExchanger(2, 1, relay, mon)
 
 	sync2 := func(e0, e1 float64) [2]Candidate {
 		var got [2]Candidate
@@ -150,7 +150,7 @@ func TestOneWorkerIslandStillGossips(t *testing.T) {
 	relay := &recordingRelay{
 		global: Candidate{Assign: []int32{7}, Energy: 0.5, Island: 0, Has: true},
 	}
-	tr := NewIslandTransport(1, 2, relay, nil)
+	tr := newExchanger(1, 2, relay, nil)
 	win, ok := tr.Sync(0, Candidate{Assign: []int32{0}, Energy: 4, Worker: 0, Has: true})
 	if !ok || win.Energy != 0.5 || win.Island != 0 {
 		t.Fatalf("one-worker island got %+v ok=%v, want the relay's global winner", win, ok)

@@ -209,10 +209,7 @@ func portfolio(ctx context.Context, cfg RunConfig, syncEvery int,
 	}
 	return engine.Portfolio(ctx, engine.PortfolioOptions{
 		Workers: workers, Seed: cfg.Seed, SyncEvery: syncEvery, Monitor: cfg.Monitor,
-		// The fleet-global seed offset: island i's workers are indices
-		// [i*width, (i+1)*width), so islands sharing a base seed still draw
-		// from disjoint splitmix64 streams.
-		Island: cfg.Island, WorkerOffset: cfg.Island * workers, Relay: cfg.Relay,
+		Island: cfg.Island, Relay: cfg.Relay,
 	}, energy, solve)
 }
 

@@ -41,24 +41,12 @@ import (
 type Options struct {
 	// Objective is the fitness criterion (default MCut).
 	Objective objective.Objective
-	// Population size (default 24).
-	Population int
-	// TournamentSize for parent selection (default 3).
-	TournamentSize int
-	// MutationRate is the per-child expected number of random vertex moves
-	// (default 4).
-	MutationRate int
-	// Elite is how many best individuals survive unchanged (default 2).
-	Elite int
-	// LocalSearch applies one greedy k-way pass to each child (memetic
-	// variant; default true — set DisableLocalSearch to ablate).
-	DisableLocalSearch bool
 	// Generations caps the evolution (default 200).
 	Generations int
 	// MemeticCrossover replaces flat label-aligned crossover with the
 	// cut-protecting V-cycle recombination of internal/memetic. Children are
-	// never worse than their better parent; the population default shrinks
-	// to 12 because each recombination is a full multilevel pass.
+	// never worse than their better parent; the population shrinks to 12
+	// because each recombination is a full multilevel pass.
 	MemeticCrossover bool
 	// CoarsenTo bounds the protected hierarchy's coarsening cutoff when
 	// MemeticCrossover is set (0 selects the vcycle default for k).
@@ -79,22 +67,19 @@ type Options struct {
 	Runtime *engine.Runtime
 }
 
+// The GA's fixed parameters. Every child also gets one greedy k-way pass
+// (the memetic local search).
+const (
+	// tournamentSize is the number of individuals drawn per parent
+	// selection.
+	tournamentSize = 3
+	// mutationRate is the per-child expected number of random vertex moves.
+	mutationRate = 4
+	// elite is how many best individuals survive unchanged.
+	elite = 2
+)
+
 func (o Options) withDefaults() Options {
-	if o.Population == 0 {
-		o.Population = 24
-		if o.MemeticCrossover {
-			o.Population = 12
-		}
-	}
-	if o.TournamentSize == 0 {
-		o.TournamentSize = 3
-	}
-	if o.MutationRate == 0 {
-		o.MutationRate = 4
-	}
-	if o.Elite == 0 {
-		o.Elite = 2
-	}
 	if o.Generations == 0 {
 		o.Generations = 200
 	}
@@ -151,8 +136,12 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	// Initial population: percolation partitions from diverse seeds plus
 	// random assignments for diversity.
 	initPoll := engine.NewPoll(ctx, 1)
-	pop := make([]individual, 0, opt.Population)
-	for i := 0; len(pop) < opt.Population; i++ {
+	population := 24
+	if opt.MemeticCrossover {
+		population = 12
+	}
+	pop := make([]individual, 0, population)
+	for i := 0; len(pop) < population; i++ {
 		if initPoll.Due() {
 			return nil, initPoll.Err()
 		}
@@ -206,16 +195,16 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			pop[len(pop)-1] = individual{assign: adopted, fitness: fitnessOf(adopted)}
 			sortPop(pop)
 		}
-		next := make([]individual, 0, opt.Population)
-		for e := 0; e < opt.Elite && e < len(pop); e++ {
+		next := make([]individual, 0, population)
+		for e := 0; e < elite && e < len(pop); e++ {
 			next = append(next, pop[e])
 		}
-		for len(next) < opt.Population {
+		for len(next) < population {
 			if loop.PollNow() {
 				break
 			}
-			pa := tournament(pop, opt.TournamentSize, r)
-			pb := tournament(pop, opt.TournamentSize, r)
+			pa := tournament(pop, tournamentSize, r)
+			pb := tournament(pop, tournamentSize, r)
 			if opt.MemeticCrossover && r.Intn(4) != 0 {
 				// Recombination child: the V-cycle's per-level refinement is
 				// the memetic local search (score.Tracker-driven inside
@@ -240,23 +229,20 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 				// the flat pipeline as the mutation path.
 			}
 			child := crossover(pa.assign, pb.assign, k, r)
-			mutate(child, k, opt.MutationRate, r)
+			mutate(child, k, mutationRate, r)
 			repair(g, child, k, r)
-			fit, scored := 0.0, false
-			if !opt.DisableLocalSearch {
-				if p, err := partition.FromAssignment(g, child, k); err == nil {
-					// The memetic local search scores its candidate moves
-					// incrementally (score.Tracker inside KWay); the refined
-					// partition is then scored directly rather than rebuilt
-					// from the assignment a second time.
-					refine.KWay(p, refine.KWayOptions{
-						Objective: opt.Objective, MaxPasses: 1, Imbalance: 0.5, Ctx: ctx,
-					})
-					child = p.Assignment()
-					fit, scored = opt.Objective.EvaluateSmoothed(p, eps), true
-				}
-			}
-			if !scored {
+			var fit float64
+			if p, err := partition.FromAssignment(g, child, k); err == nil {
+				// The memetic local search scores its candidate moves
+				// incrementally (score.Tracker inside KWay); the refined
+				// partition is then scored directly rather than rebuilt
+				// from the assignment a second time.
+				refine.KWay(p, refine.KWayOptions{
+					Objective: opt.Objective, MaxPasses: 1, Imbalance: 0.5, Ctx: ctx,
+				})
+				child = p.Assignment()
+				fit = opt.Objective.EvaluateSmoothed(p, eps)
+			} else {
 				fit = fitnessOf(child)
 			}
 			next = append(next, individual{assign: child, fitness: fit})

@@ -1,8 +1,8 @@
 // Package inertial implements Chaco's inertial (geometric) partitioning
 // method, the remaining global scheme of the toolchain the paper benchmarks
-// against: vertices carry coordinates, and each split cuts the point set by
-// a hyperplane orthogonal to the principal axis of inertia at the weighted
-// median. It needs geometry (the airspace workload provides sector centers)
+// against: vertices carry coordinates, and each recursive bisection cuts the
+// point set by a hyperplane orthogonal to the principal axis of inertia at
+// the weighted median. It needs geometry (the airspace workload provides sector centers)
 // and ignores edges entirely unless KL refinement is enabled — a useful
 // baseline between "linear" (ignores everything) and "spectral" (uses the
 // full edge structure).
@@ -20,13 +20,8 @@ import (
 
 // Options configures inertial partitioning.
 type Options struct {
-	// Arity is the split width per recursion level (2, 4 or 8; default 2).
-	// Multiway splits slice the axis into equal-weight bands.
-	Arity int
 	// KL enables Kernighan-Lin refinement after each split.
 	KL bool
-	// Imbalance is passed to KL (default 0.05).
-	Imbalance float64
 }
 
 // Partition cuts g into k parts using vertex coordinates (x[i], y[i]).
@@ -37,12 +32,6 @@ func Partition(g *graph.Graph, x, y []float64, k int, opt Options) (*partition.P
 	}
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("inertial: k=%d out of range [1,%d]", k, n)
-	}
-	if opt.Arity == 0 {
-		opt.Arity = 2
-	}
-	if opt.Arity != 2 && opt.Arity != 4 && opt.Arity != 8 {
-		return nil, fmt.Errorf("inertial: arity must be 2, 4 or 8, got %d", opt.Arity)
 	}
 	assign := make([]int32, n)
 	verts := make([]int32, n)
@@ -63,13 +52,7 @@ func split(g *graph.Graph, x, y []float64, verts []int32, kNode int, opt Options
 		}
 		return
 	}
-	groups := opt.Arity
-	for groups > kNode {
-		groups /= 2
-	}
-	if groups < 2 {
-		groups = 2
-	}
+	const groups = 2
 	kPer := make([]int, groups)
 	for i := range kPer {
 		kPer[i] = kNode / groups
@@ -88,9 +71,9 @@ func split(g *graph.Graph, x, y []float64, verts []int32, kNode int, opt Options
 	}
 	sort.SliceStable(order, func(a, b int) bool { return proj[order[a]] < proj[order[b]] })
 
-	// Slice the sorted projection into bands with weight proportional to
-	// the part counts, keeping at least one vertex per band and enough for
-	// the bands after it.
+	// Slice the sorted projection into two bands with weight proportional
+	// to the part counts, keeping at least one vertex per band and enough
+	// for the band after it.
 	totalW := 0.0
 	for _, v := range verts {
 		totalW += g.VertexWeight(int(v))
@@ -120,20 +103,13 @@ func split(g *graph.Graph, x, y []float64, verts []int32, kNode int, opt Options
 	}
 
 	if opt.KL {
-		sub := graph.Induced(g, verts)
-		if groups == 2 {
-			side := append([]int32(nil), local...)
-			w0 := 0.0
-			for i := range side {
-				if side[i] == 0 {
-					w0 += g.VertexWeight(int(verts[i]))
-				}
+		w0 := 0.0
+		for i := range local {
+			if local[i] == 0 {
+				w0 += g.VertexWeight(int(verts[i]))
 			}
-			refine.KL(sub.G, side, refine.BisectOptions{TargetWeight0: w0, Imbalance: opt.Imbalance})
-			copy(local, side)
-		} else {
-			refine.PairwiseKL(sub.G, local, groups, refine.BisectOptions{Imbalance: opt.Imbalance})
 		}
+		refine.KL(graph.Induced(g, verts).G, local, refine.BisectOptions{TargetWeight0: w0})
 	}
 
 	chunkOf := make([][]int32, groups)

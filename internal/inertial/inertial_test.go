@@ -71,6 +71,8 @@ func TestPrincipalAxisHorizontalSpread(t *testing.T) {
 	}
 }
 
+// TestMultiwayBandsBalanced cuts a square grid into four parts by two
+// levels of bisection: every part gets exactly a quarter of the vertices.
 func TestMultiwayBandsBalanced(t *testing.T) {
 	g := graph.Grid2D(10, 10)
 	x := make([]float64, 100)
@@ -78,13 +80,13 @@ func TestMultiwayBandsBalanced(t *testing.T) {
 	for v := 0; v < 100; v++ {
 		x[v], y[v] = float64(v%10), float64(v/10)
 	}
-	p, err := Partition(g, x, y, 4, Options{Arity: 4})
+	p, err := Partition(g, x, y, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for a := 0; a < 4; a++ {
 		if p.PartSize(a) != 25 {
-			t.Fatalf("band %d has %d vertices, want 25", a, p.PartSize(a))
+			t.Fatalf("part %d has %d vertices, want 25", a, p.PartSize(a))
 		}
 	}
 	if imb := objective.Imbalance(p); imb > 1e-9 {
@@ -123,9 +125,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := Partition(g, xy, xy, 0, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
-	}
-	if _, err := Partition(g, xy, xy, 2, Options{Arity: 3}); err == nil {
-		t.Fatal("arity 3 accepted")
 	}
 }
 

@@ -22,8 +22,6 @@ type Options struct {
 	// KL enables Kernighan-Lin refinement after each split (pairwise KL for
 	// multiway splits).
 	KL bool
-	// Imbalance is passed to the KL refinement (default 0.05).
-	Imbalance float64
 }
 
 // Partition cuts g into k parts. The returned partition uses part ids
@@ -132,10 +130,10 @@ func split(ctx context.Context, g *graph.Graph, verts []int32, kNode int, opt Op
 					w0 += g.VertexWeight(int(verts[i]))
 				}
 			}
-			refine.KL(sub.G, side, refine.BisectOptions{TargetWeight0: w0, Imbalance: opt.Imbalance, Ctx: ctx})
+			refine.KL(sub.G, side, refine.BisectOptions{TargetWeight0: w0, Ctx: ctx})
 			copy(local, side)
 		} else {
-			refine.PairwiseKL(sub.G, local, groups, refine.BisectOptions{Imbalance: opt.Imbalance, Ctx: ctx})
+			refine.PairwiseKL(sub.G, local, groups, refine.BisectOptions{Ctx: ctx})
 		}
 		// Rebuild group membership after refinement.
 		chunkOf = make([][]int32, groups)

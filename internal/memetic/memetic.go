@@ -48,13 +48,13 @@ type Options struct {
 	CoarsenTo int
 	// Imbalance is the balance slack refinement respects (default 0.10).
 	Imbalance float64
-	// RefinePasses bounds the greedy k-way refinement sweeps per level
-	// (default 4).
-	RefinePasses int
 	// Seed drives the protected matcher's vertex-visit order. Same seed and
 	// parents, same offspring.
 	Seed int64
 }
+
+// refinePasses bounds the greedy k-way refinement sweeps per level.
+const refinePasses = 4
 
 // Recombine combines two parent assignments of g (labels in [0, k)) into an
 // offspring partition by a cut-protecting V-cycle, never worse than the
@@ -69,9 +69,6 @@ func Recombine(ctx context.Context, g *graph.Graph, k int, parentA, parentB []in
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if opt.RefinePasses <= 0 {
-		opt.RefinePasses = 4
 	}
 	if opt.Imbalance <= 0 {
 		opt.Imbalance = 0.10
@@ -118,7 +115,7 @@ func Recombine(ctx context.Context, g *graph.Graph, k int, parentA, parentB []in
 	}
 	refine.KWay(cp, refine.KWayOptions{
 		Objective: opt.Objective, Imbalance: opt.Imbalance,
-		MaxPasses: opt.RefinePasses, Ctx: ctx,
+		MaxPasses: refinePasses, Ctx: ctx,
 	})
 	assign = cp.Assignment()
 
@@ -139,7 +136,7 @@ func Recombine(ctx context.Context, g *graph.Graph, k int, parentA, parentB []in
 		}
 		refine.KWay(fp, refine.KWayOptions{
 			Objective: opt.Objective, Imbalance: opt.Imbalance,
-			MaxPasses: opt.RefinePasses, Ctx: ctx,
+			MaxPasses: refinePasses, Ctx: ctx,
 		})
 		assign = fp.Assignment()
 		offspring = fp

@@ -12,6 +12,10 @@ import (
 	"repro/internal/spectral"
 )
 
+// kwayImbalance is the k-way scheme's balance slack; refinement adds 0.10
+// to it. Typed, so the sum rounds as run-time float64 addition does.
+const kwayImbalance float64 = 0.05
+
 // PartitionKWay is the direct k-way multilevel scheme (the METIS-style
 // successor of the recursive method this paper benchmarks): one coarsening
 // ladder for the whole graph, a k-way partition of the coarsest graph, and
@@ -30,16 +34,7 @@ func PartitionKWayContext(ctx context.Context, g *graph.Graph, k int, opt Option
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("multilevel: k=%d out of range [1,%d]", k, n)
 	}
-	if opt.CoarsenTo == 0 {
-		opt.CoarsenTo = 4 * k
-		if opt.CoarsenTo < 96 {
-			opt.CoarsenTo = 96
-		}
-	}
-	if opt.Imbalance == 0 {
-		opt.Imbalance = 0.05
-	}
-	ladder := coarsen.HEM(g, opt.CoarsenTo, opt.Seed)
+	ladder := coarsen.HEM(g, max(96, 4*k), opt.Seed)
 	coarsest := g
 	if len(ladder) > 0 {
 		coarsest = ladder[len(ladder)-1].G
@@ -61,11 +56,7 @@ func PartitionKWayContext(ctx context.Context, g *graph.Graph, k int, opt Option
 		if li > 0 {
 			fine = ladder[li-1].G
 		}
-		projected := make([]int32, fine.NumVertices())
-		for v := range projected {
-			projected[v] = local[ladder[li].Map[v]]
-		}
-		local = projected
+		local = ladder[li].Project(local)
 		if opt.DisableRefine {
 			continue
 		}
@@ -75,7 +66,7 @@ func PartitionKWayContext(ctx context.Context, g *graph.Graph, k int, opt Option
 		}
 		refine.KWay(p, refine.KWayOptions{
 			Objective: objective.Cut,
-			Imbalance: opt.Imbalance + 0.10,
+			Imbalance: kwayImbalance + 0.10,
 			MaxPasses: 4,
 			Ctx:       ctx,
 		})

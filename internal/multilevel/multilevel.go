@@ -22,10 +22,6 @@ import (
 type Options struct {
 	// Arity is the split width per recursion level: 2 or 8. Default 2.
 	Arity int
-	// CoarsenTo is the coarsest graph size (default max(48, 4*Arity)).
-	CoarsenTo int
-	// Imbalance is the balance slack for refinement (default 0.05).
-	Imbalance float64
 	// Refine enables local refinement during uncoarsening (Chaco's
 	// REFINE_PARTITION; the paper switches it on for every Chaco row).
 	// Default true; set Disable to turn it off for ablations.
@@ -53,12 +49,6 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	}
 	if opt.Arity != 2 && opt.Arity != 8 {
 		return nil, fmt.Errorf("multilevel: arity must be 2 or 8, got %d", opt.Arity)
-	}
-	if opt.CoarsenTo == 0 {
-		opt.CoarsenTo = 48
-		if 4*opt.Arity > opt.CoarsenTo {
-			opt.CoarsenTo = 4 * opt.Arity
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -132,7 +122,8 @@ func splitRec(ctx context.Context, g *graph.Graph, verts []int32, kNode int, opt
 // coarsest graph spectrally into len(kPer) groups, then project back with
 // per-level refinement.
 func splitMultilevel(ctx context.Context, g *graph.Graph, kPer []int, opt Options) ([]int32, error) {
-	ladder := coarsen.HEM(g, opt.CoarsenTo, opt.Seed)
+	// The coarsest graph keeps at least four vertices per group.
+	ladder := coarsen.HEM(g, max(48, 4*opt.Arity), opt.Seed)
 	coarsest := g
 	if len(ladder) > 0 {
 		coarsest = ladder[len(ladder)-1].G
@@ -145,7 +136,7 @@ func splitMultilevel(ctx context.Context, g *graph.Graph, kPer []int, opt Option
 		return nil, err
 	}
 	if !opt.DisableRefine {
-		refineLevel(ctx, coarsest, local, kPer, opt)
+		refineLevel(ctx, coarsest, local, kPer)
 	}
 	// Uncoarsen: project through each level, refining as we go.
 	for li := len(ladder) - 1; li >= 0; li-- {
@@ -160,15 +151,16 @@ func splitMultilevel(ctx context.Context, g *graph.Graph, kPer []int, opt Option
 		}
 		local = ladder[li].Project(local)
 		if !opt.DisableRefine {
-			refineLevel(ctx, fine, local, kPer, opt)
+			refineLevel(ctx, fine, local, kPer)
 		}
 	}
 	return local, nil
 }
 
 // refineLevel applies the appropriate local refinement for the group count:
-// FM for bisections (cheap, Chaco-style), greedy k-way for multiway splits.
-func refineLevel(ctx context.Context, g *graph.Graph, local []int32, kPer []int, opt Options) {
+// FM for bisections (cheap, Chaco-style), greedy k-way for multiway splits,
+// each at its own default balance slack.
+func refineLevel(ctx context.Context, g *graph.Graph, local []int32, kPer []int) {
 	groups := len(kPer)
 	kNode := 0
 	for _, kp := range kPer {
@@ -178,7 +170,6 @@ func refineLevel(ctx context.Context, g *graph.Graph, local []int32, kPer []int,
 		target0 := g.TotalVertexWeight() * float64(kPer[0]) / float64(kNode)
 		refine.FM(g, local, refine.BisectOptions{
 			TargetWeight0: target0,
-			Imbalance:     opt.Imbalance,
 			Ctx:           ctx,
 		})
 		return
@@ -189,7 +180,7 @@ func refineLevel(ctx context.Context, g *graph.Graph, local []int32, kPer []int,
 	}
 	refine.KWay(p, refine.KWayOptions{
 		Objective: objective.Cut,
-		Imbalance: opt.Imbalance + 0.10,
+		Imbalance: 0.10,
 		MaxPasses: 4,
 		Ctx:       ctx,
 	})

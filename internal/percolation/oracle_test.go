@@ -114,9 +114,9 @@ func (h *oracleGrowHeap) Pop() interface{} {
 	return x
 }
 
-// oraclePropagate is propagate on container/heap, with the free mode the
-// old Bisect used.
-func oraclePropagate(g *graph.Graph, seed int, self int32, color []int32, free bool, logHalfMean float64, bond []float64) {
+// oraclePropagate is Splitter.propagate on container/heap: the free sweep
+// the old Bisect used, flowing through every vertex.
+func oraclePropagate(g *graph.Graph, seed int, logHalfMean float64, bond []float64) {
 	n := g.NumVertices()
 	done := make([]bool, n)
 	for v := 0; v < n; v++ {
@@ -132,10 +132,6 @@ func oraclePropagate(g *graph.Graph, seed int, self int32, color []int32, free b
 		}
 		done[it.v] = true
 		bond[it.v] = it.bond
-		// The liquid continues through this vertex only if it may flow here.
-		if it.v != seed && !free && color[it.v] != self && color[it.v] != -1 {
-			continue
-		}
 		nbrs := g.Neighbors(it.v)
 		wts := g.Weights(it.v)
 		for i, u := range nbrs {
@@ -175,16 +171,11 @@ func oracleBisect(g *graph.Graph, seedA, seedB int) []int32 {
 	if seedA == seedB || n < 2 {
 		return side
 	}
-	color := make([]int32, n)
-	for v := range color {
-		color[v] = -1
-	}
-	color[seedA], color[seedB] = 0, 1
 	logHalfMean := logDamping(g)
 	bondA := make([]float64, n)
 	bondB := make([]float64, n)
-	oraclePropagate(g, seedA, 0, color, true, logHalfMean, bondA)
-	oraclePropagate(g, seedB, 1, color, true, logHalfMean, bondB)
+	oraclePropagate(g, seedA, logHalfMean, bondA)
+	oraclePropagate(g, seedB, logHalfMean, bondB)
 	for v := 0; v < n; v++ {
 		if bondB[v] > bondA[v] {
 			side[v] = 1

@@ -1,8 +1,10 @@
 // Package percolation implements the paper's percolation heuristic
 // (section 4.4): k colored liquids start from k seed vertices and spread
 // through the graph; a vertex joins the color whose liquid reaches it with
-// the strongest bond, bonds are recomputed over the current territories each
-// round, and the process stops when no vertex changes color.
+// the strongest bond. The paper then recomputes bonds over the current
+// territories until no vertex changes color; here the balanced growth below
+// already ends in a stable covering, so a short boundary pass replaces
+// those rounds.
 //
 // The paper writes the bond of a path from seed c_i to v as
 //
@@ -18,8 +20,8 @@
 // computed in log domain. Strength halves per average-weight hop (the
 // paper's 2^d damping), heavy corridors damp less and so attract the liquid,
 // and bonds decay with distance as the physical picture demands. Fronts
-// expand strongest-first via a priority queue; each round a liquid may only
-// flow through its own territory, claiming frontier vertices by bond.
+// expand strongest-first via a priority queue, under per-liquid volume caps
+// that are lifted in phases.
 //
 // Percolation is Table 1's "Percolation" row, initializes simulated
 // annealing and the ant colony (figure 1), and cuts atoms in two during
@@ -44,12 +46,6 @@ type Options struct {
 	// Seeds optionally fixes the k starting vertices. When nil, seeds are
 	// chosen by greedy farthest-point traversal from a random start.
 	Seeds []int
-	// MaxRounds adds recompute-reassign rounds after the balanced growth.
-	// The growth phase already runs the percolation to a stable covering,
-	// so the default is 0 (none); reassignment rounds progressively let
-	// heavy corridors re-flood the map and are kept only for
-	// experimentation.
-	MaxRounds int
 	// Seed drives the random start of automatic seed selection.
 	Seed int64
 }
@@ -60,8 +56,8 @@ func Partition(g *graph.Graph, k int, opt Options) (*partition.P, error) {
 }
 
 // PartitionContext is Partition under cooperative cancellation: the growth
-// phases, fixed-point rounds and boundary refinement poll ctx and the call
-// returns ctx.Err() once it fires. No partial partition is returned.
+// phases and the boundary refinement poll ctx and the call returns
+// ctx.Err() once it fires. No partial partition is returned.
 func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (*partition.P, error) {
 	n := g.NumVertices()
 	if k < 1 || k > n {
@@ -103,77 +99,14 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		return nil, poll.Err()
 	}
 
-	maxRounds := opt.MaxRounds
-	logHalfMean := logDamping(g)
-
-	// Phase 1 — balanced simultaneous growth. All liquids expand through a
-	// single strongest-front queue (equal volumes of liquid dripping at
-	// once): each claim colors a vertex immediately, and a liquid that has
-	// filled its share stops until the volume caps are lifted. Without the
-	// caps one liquid follows the heavy corridors across the whole map and
-	// the rounds below can only erode it a frontier layer at a time.
-	color, _ := balancedGrowth(ctx, g, seeds, logHalfMean)
+	// Balanced simultaneous growth. All liquids expand through a single
+	// strongest-front queue (equal volumes of liquid dripping at once): each
+	// claim colors a vertex immediately, and a liquid that has filled its
+	// share stops until the volume caps are lifted. Without the caps one
+	// liquid follows the heavy corridors across the whole map.
+	color, _ := balancedGrowth(ctx, g, seeds, logDamping(g))
 	if poll.Due() {
 		return nil, poll.Err()
-	}
-
-	// Phase 2 — the paper's fixed-point rounds: recompute every liquid's
-	// bonds over its current territory and reassign each vertex to the
-	// strongest, stopping when no vertex changes color. Hydrostatic
-	// pressure — a log-domain discount on overfull liquids' bonds — keeps
-	// the fixed point from re-flooding the heavy corridors that the
-	// balanced growth phase just contained.
-	const pressure = 4.0
-	idealVW := g.TotalVertexWeight() / float64(k)
-	bonds := make([][]float64, k)
-	for i := range bonds {
-		bonds[i] = make([]float64, n)
-	}
-	regionVW := make([]float64, k)
-	for v := 0; v < n; v++ {
-		if color[v] >= 0 {
-			regionVW[color[v]] += g.VertexWeight(v)
-		}
-	}
-	for round := 0; round < maxRounds; round++ {
-		if poll.Due() {
-			return nil, poll.Err()
-		}
-		for i := 0; i < k; i++ {
-			propagate(g, seeds[i], int32(i), color, logHalfMean, bonds[i])
-		}
-		discount := make([]float64, k)
-		for i := 0; i < k; i++ {
-			if over := regionVW[i]/idealVW - 1.15; over > 0 {
-				discount[i] = pressure * over
-			}
-		}
-		changed := false
-		for v := 0; v < n; v++ {
-			best := color[v]
-			bestBond := math.Inf(-1)
-			if best >= 0 {
-				bestBond = bonds[best][v] - discount[best]
-			}
-			for i := 0; i < k; i++ {
-				if b := bonds[i][v] - discount[i]; b > bestBond {
-					best, bestBond = int32(i), b
-				}
-			}
-			if best != color[v] && best >= 0 {
-				vw := g.VertexWeight(v)
-				regionVW[color[v]] -= vw
-				regionVW[best] += vw
-				color[v] = best
-				changed = true
-			}
-		}
-		for i, s := range seeds {
-			color[s] = int32(i) // seeds never change color
-		}
-		if !changed {
-			break
-		}
 	}
 
 	// Vertices never reached by any liquid (components without a seed):
@@ -322,38 +255,4 @@ func logDamping(g *graph.Graph) float64 {
 	}
 	mean := g.TotalEdgeWeight() / float64(g.NumEdges())
 	return math.Log(2 * mean)
-}
-
-// propagate computes log-domain bonds from the seed by strongest-front
-// expansion within the liquid's own territory: it can bond to (and later
-// claim) frontier vertices of any color, but flows on only through the seed,
-// its own color and unclaimed vertices. Unreached vertices get -Inf. The
-// free sweep of Bisect is Splitter.propagate.
-func propagate(g *graph.Graph, seed int, self int32, color []int32, logHalfMean float64, bond []float64) {
-	n := g.NumVertices()
-	done := make([]bool, n)
-	for v := 0; v < n; v++ {
-		bond[v] = math.Inf(-1)
-	}
-	var pq frontHeap
-	pq.push(front{v: int32(seed)})
-	for len(pq) > 0 {
-		it := pq.pop()
-		if done[it.v] {
-			continue // a stronger front already claimed this vertex
-		}
-		done[it.v] = true
-		bond[it.v] = it.bond
-		// The liquid continues through this vertex only if it may flow here.
-		if int(it.v) != seed && color[it.v] != self && color[it.v] != -1 {
-			continue
-		}
-		nbrs := g.Neighbors(int(it.v))
-		wts := g.Weights(int(it.v))
-		for i, u := range nbrs {
-			if !done[u] {
-				pq.push(front{v: u, bond: it.bond + math.Log(wts[i]) - logHalfMean})
-			}
-		}
-	}
 }

@@ -38,27 +38,6 @@ func TestBisectMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-func TestTerritoryPropagateMatchesHeapOracle(t *testing.T) {
-	r := rng.New(4)
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + r.Intn(150)
-		g := randomWeighted(r, n, 0.05+0.3*r.Float64())
-		color := make([]int32, n)
-		for v := range color {
-			color[v] = int32(r.Intn(4)) - 1 // unclaimed or one of three liquids
-		}
-		seed := r.Intn(n)
-		self := int32(r.Intn(3))
-		ld := logDamping(g)
-		got, want := make([]float64, n), make([]float64, n)
-		propagate(g, seed, self, color, ld, got)
-		oraclePropagate(g, seed, self, color, false, ld, want)
-		if !slices.Equal(floatBits(got), floatBits(want)) {
-			t.Fatalf("trial %d (n=%d): territory bonds differ from the container/heap oracle", trial, n)
-		}
-	}
-}
-
 func TestBalancedGrowthMatchesHeapOracle(t *testing.T) {
 	r := rng.New(2)
 	for trial := 0; trial < 100; trial++ {

@@ -25,7 +25,7 @@ func BenchmarkFM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := append([]int32(nil), side...)
-		FM(g, s, BisectOptions{MaxPasses: 2})
+		FM(g, s, BisectOptions{})
 	}
 }
 
@@ -34,7 +34,7 @@ func BenchmarkKL(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := append([]int32(nil), side...)
-		KL(g, s, BisectOptions{MaxPasses: 2})
+		KL(g, s, BisectOptions{})
 	}
 }
 

@@ -30,17 +30,21 @@ var useBatch = true
 // the sweep walks the CSR arrays nearly linearly.
 const kwayBatch = 64
 
+// KL and FM run at most bisectPasses improvement passes and allow a
+// relative deviation of bisectImbalance from the target side weight: FM
+// refuses moves that push a side beyond target*(1+bisectImbalance); KL swaps
+// keep side weights nearly constant. Typed, so constant arithmetic rounds
+// as run-time float64 arithmetic does.
+const (
+	bisectPasses            = 8
+	bisectImbalance float64 = 0.05
+)
+
 // BisectOptions configures KL and FM.
 type BisectOptions struct {
 	// TargetWeight0 is the desired total vertex weight of side 0.
 	// 0 means half of the graph's total vertex weight.
 	TargetWeight0 float64
-	// Imbalance is the allowed relative deviation from the target
-	// (default 0.05). FM refuses moves that push a side beyond
-	// target*(1+Imbalance); KL swaps keep side weights nearly constant.
-	Imbalance float64
-	// MaxPasses bounds the number of improvement passes (default 8).
-	MaxPasses int
 	// Ctx optionally makes the refinement cancellable: once Ctx is done no
 	// further pass starts and the refinement returns with the side array in
 	// a consistent (partially refined) state. Nil means never cancelled.
@@ -64,12 +68,6 @@ func cancelled(ctx context.Context) bool {
 func (o BisectOptions) withDefaults(g *graph.Graph) BisectOptions {
 	if o.TargetWeight0 == 0 {
 		o.TargetWeight0 = g.TotalVertexWeight() / 2
-	}
-	if o.Imbalance == 0 {
-		o.Imbalance = 0.05
-	}
-	if o.MaxPasses == 0 {
-		o.MaxPasses = 8
 	}
 	return o
 }
@@ -127,9 +125,9 @@ func KL(g *graph.Graph, side []int32, opt BisectOptions) float64 {
 			w0 += g.VertexWeight(v)
 		}
 	}
-	slack := opt.Imbalance*g.TotalVertexWeight()/2 + heaviest
+	slack := bisectImbalance*g.TotalVertexWeight()/2 + heaviest
 
-	for pass := 0; pass < opt.MaxPasses && !cancelled(opt.Ctx); pass++ {
+	for pass := 0; pass < bisectPasses && !cancelled(opt.Ctx); pass++ {
 		d := dValues(g, side)
 		locked := make([]bool, n)
 		type swap struct{ a, b int }
@@ -278,7 +276,7 @@ func FM(g *graph.Graph, side []int32, opt BisectOptions) float64 {
 		return cutOf(g, side)
 	}
 	target := [2]float64{opt.TargetWeight0, g.TotalVertexWeight() - opt.TargetWeight0}
-	maxW := [2]float64{target[0] * (1 + opt.Imbalance), target[1] * (1 + opt.Imbalance)}
+	maxW := [2]float64{target[0] * (1 + bisectImbalance), target[1] * (1 + bisectImbalance)}
 	// Guard degenerate targets (e.g. tiny sides) with an absolute slack of
 	// the heaviest vertex so progress is always possible.
 	heaviest := 0.0
@@ -295,7 +293,7 @@ func FM(g *graph.Graph, side []int32, opt BisectOptions) float64 {
 		weight[side[v]] += g.VertexWeight(v)
 	}
 
-	for pass := 0; pass < opt.MaxPasses && !cancelled(opt.Ctx); pass++ {
+	for pass := 0; pass < bisectPasses && !cancelled(opt.Ctx); pass++ {
 		d := dValues(g, side)
 		locked := make([]bool, n)
 		stamp := make([]int64, n)

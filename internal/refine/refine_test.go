@@ -57,7 +57,7 @@ func TestFMRespectsBalance(t *testing.T) {
 	for v := 10; v < 20; v++ {
 		side[v] = 1
 	}
-	FM(g, side, BisectOptions{Imbalance: 0.05})
+	FM(g, side, BisectOptions{})
 	c0 := countSide(side, 0)
 	if c0 < 8 || c0 > 12 {
 		t.Fatalf("FM broke balance: side 0 has %d of 20", c0)

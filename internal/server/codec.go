@@ -274,20 +274,7 @@ func warmTag(opt ff.Options) string {
 // normalized — normalization clears Multilevel and CoarsenTo on methods
 // that ignore them, so equivalent requests collide.
 func cacheKey(digest string, opt ff.Options) string {
-	ml := 0
-	if opt.Multilevel {
-		ml = 1
-	}
-	mem := 0
-	if opt.MemeticCrossover {
-		mem = 1
-	}
-	rl := 0
-	if opt.Relayout {
-		rl = 1
-	}
-	return fmt.Sprintf("%s|%s|%d|%s|%d|%d|%d|%d|%d|%d|%d|%d|%s",
-		digest, opt.Method, opt.K, opt.Objective, opt.Seed, int64(opt.Budget), opt.MaxSteps, opt.Parallelism, ml, opt.CoarsenTo, mem, rl, warmTag(opt))
+	return optionKey(digest, opt, true)
 }
 
 // exchangeKey pairs fanned-out federated jobs across islands: the graph
@@ -295,23 +282,35 @@ func cacheKey(digest string, opt ff.Options) string {
 // parallelism are deliberately excluded — both are clamped by each server's
 // own config, and a fleet of different widths is legitimate (each island
 // still deposits one candidate per round). The island id itself is never
-// part of the key.
+// part of the key. Relayout must match across the fleet: all islands
+// exchange candidates in relabeled vertex ids (the ordering is a
+// deterministic function of the graph, so equal flags mean equal
+// numberings).
 func exchangeKey(digest string, opt ff.Options) string {
-	ml := 0
-	if opt.Multilevel {
-		ml = 1
+	return optionKey(digest, opt, false)
+}
+
+// optionKey writes the digest and the option fields, '|'-separated, in the
+// one pinned order both keys share. withRun adds the per-server run limits
+// (Budget, Parallelism) that only the cache key carries.
+func optionKey(digest string, opt ff.Options, withRun bool) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|%s|%d|%s|%d", digest, opt.Method, opt.K, opt.Objective, opt.Seed)
+	if withRun {
+		fmt.Fprintf(&b, "|%d", int64(opt.Budget))
 	}
-	mem := 0
-	if opt.MemeticCrossover {
-		mem = 1
+	fmt.Fprintf(&b, "|%d", opt.MaxSteps)
+	if withRun {
+		fmt.Fprintf(&b, "|%d", opt.Parallelism)
 	}
-	rl := 0
-	if opt.Relayout {
-		rl = 1
+	fmt.Fprintf(&b, "|%d|%d|%d|%d|%s", bit(opt.Multilevel), opt.CoarsenTo, bit(opt.MemeticCrossover), bit(opt.Relayout), warmTag(opt))
+	return b.String()
+}
+
+// bit encodes a boolean option as 0 or 1.
+func bit(on bool) int {
+	if on {
+		return 1
 	}
-	// Relayout must match across the fleet: all islands exchange candidates
-	// in relabeled vertex ids (the ordering is a deterministic function of
-	// the graph, so equal flags mean equal numberings).
-	return fmt.Sprintf("%s|%s|%d|%s|%d|%d|%d|%d|%d|%d|%s",
-		digest, opt.Method, opt.K, opt.Objective, opt.Seed, opt.MaxSteps, ml, opt.CoarsenTo, mem, rl, warmTag(opt))
+	return 0
 }

@@ -3,11 +3,7 @@
 // graph Laplacian constructors.
 package sparse
 
-import (
-	"math"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Matrix is a symmetric sparse matrix in CSR form with an explicit diagonal.
 // Only the off-diagonal pattern is stored in CSR; the diagonal is dense.
@@ -77,30 +73,4 @@ func Adjacency(g *graph.Graph) *Matrix {
 		w.vals[i] = -v
 	}
 	return w
-}
-
-// NormalizedLaplacian returns Lsym = D^{-1/2} (D - W) D^{-1/2} together with
-// the scaling vector s with s[i] = d(i)^{-1/2} (s[i] = 0 for isolated
-// vertices). Eigenvectors y of Lsym map to generalized eigenvectors
-// x = s .* y of (D - W) x = lambda D x, the system the paper associates with
-// the Ncut criterion.
-func NormalizedLaplacian(g *graph.Graph) (*Matrix, []float64) {
-	l := Laplacian(g)
-	s := make([]float64, l.n)
-	for i, d := range l.diag {
-		if d > 0 {
-			s[i] = 1 / math.Sqrt(d)
-		}
-	}
-	nm := &Matrix{n: l.n, xadj: l.xadj, cols: l.cols, diag: make([]float64, l.n)}
-	nm.vals = make([]float64, len(l.vals))
-	for i := 0; i < l.n; i++ {
-		if l.diag[i] > 0 {
-			nm.diag[i] = 1
-		}
-		for j := l.xadj[i]; j < l.xadj[i+1]; j++ {
-			nm.vals[j] = l.vals[j] * s[i] * s[l.cols[j]]
-		}
-	}
-	return nm, s
 }

@@ -73,30 +73,3 @@ func TestAdjacencyMulVec(t *testing.T) {
 		}
 	}
 }
-
-func TestNormalizedLaplacianProperties(t *testing.T) {
-	g := graph.Cycle(10)
-	nl, s := NormalizedLaplacian(g)
-	// For a regular graph, Lsym = L/d; cycle has d = 2.
-	// Its null vector is D^{1/2} 1, i.e. proportional to the constant for
-	// regular graphs.
-	x := make([]float64, 10)
-	for i := range x {
-		x[i] = 1
-	}
-	out := make([]float64, 10)
-	nl.MulVec(out, x)
-	for i, v := range out {
-		if math.Abs(v) > 1e-12 {
-			t.Fatalf("Lsym * 1 row %d = %g for regular graph", i, v)
-		}
-	}
-	for i, v := range s {
-		if math.Abs(v-1/math.Sqrt(2)) > 1e-12 {
-			t.Fatalf("scale[%d] = %g", i, v)
-		}
-	}
-	if nl.Diag()[0] != 1 {
-		t.Fatalf("normalized diagonal = %g, want 1", nl.Diag()[0])
-	}
-}

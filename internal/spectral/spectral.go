@@ -8,9 +8,6 @@
 //   - Lanczos: full-reorthogonalization Lanczos on the Laplacian;
 //   - RQI: a loose Lanczos estimate polished by Rayleigh Quotient Iteration
 //     with a MINRES inner solver (Chaco's RQI/Symmlq).
-//
-// An optional normalized-Laplacian mode targets the Ncut relaxation
-// (D-W)x = lambda D x from section 2.1 — an extension beyond the Chaco rows.
 package spectral
 
 import (
@@ -55,11 +52,6 @@ type Options struct {
 	Arity int
 	// KL enables Kernighan-Lin refinement after each split.
 	KL bool
-	// Imbalance is passed to KL (default 0.05).
-	Imbalance float64
-	// Normalized uses the normalized Laplacian (Ncut relaxation) instead of
-	// the combinatorial Laplacian.
-	Normalized bool
 	// Seed drives the random start vectors of the eigensolvers.
 	Seed int64
 }
@@ -135,9 +127,9 @@ func splitRec(ctx context.Context, g *graph.Graph, verts []int32, kNode int, opt
 	if opt.KL {
 		if groups == 2 {
 			w0target := sub.G.TotalVertexWeight() * float64(kPer[0]) / float64(kNode)
-			refine.KL(sub.G, local, refine.BisectOptions{TargetWeight0: w0target, Imbalance: opt.Imbalance, Ctx: ctx})
+			refine.KL(sub.G, local, refine.BisectOptions{TargetWeight0: w0target, Ctx: ctx})
 		} else {
-			refine.PairwiseKL(sub.G, local, groups, refine.BisectOptions{Imbalance: opt.Imbalance, Ctx: ctx})
+			refine.PairwiseKL(sub.G, local, groups, refine.BisectOptions{Ctx: ctx})
 		}
 	}
 
@@ -267,63 +259,22 @@ func SplitGraphContext(ctx context.Context, g *graph.Graph, kPer []int, opt Opti
 }
 
 // fiedlerVectors returns the `dims` smallest non-trivial eigenvectors of the
-// (possibly normalized) Laplacian of g, using the configured backend.
+// Laplacian of g, using the configured backend.
 func fiedlerVectors(ctx context.Context, g *graph.Graph, dims int, opt Options) ([][]float64, error) {
 	n := g.NumVertices()
-	var op eig.Operator
-	if opt.Normalized {
-		nl, _ := sparse.NormalizedLaplacian(g)
-		op = nl
-	} else {
-		op = sparse.Laplacian(g)
-	}
-	deflate := [][]float64{eig.ConstantVector(n)}
 	if dims > n-1 {
 		dims = n - 1
 	}
-
-	switch opt.Solver {
-	case RQI:
-		if !opt.Normalized {
-			return multilevelRQI(ctx, g, dims, opt)
-		}
-		// Normalized Laplacians do not commute with matching contraction;
-		// fall back to a rich Lanczos start polished by RQI.
-		maxDim := 3*dims + 12
-		if maxDim < 40 {
-			maxDim = 40
-		}
-		_, rough, err := eig.SmallestEigenpairs(op, dims, eig.LanczosOptions{
-			MaxDim:  maxDim,
-			Tol:     0.3,
-			Deflate: deflate,
-			Seed:    opt.Seed + 1,
-			Ctx:     ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-		vecs := make([][]float64, 0, dims)
-		for d := 0; d < dims; d++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			_, x, _ := eig.RQI(op, rough[d], eig.RQIOptions{
-				Deflate: append(append([][]float64{}, deflate...), vecs...),
-				Ctx:     ctx,
-			})
-			vecs = append(vecs, x)
-		}
-		return vecs, nil
-	default:
-		_, vecs, err := eig.SmallestEigenpairs(op, dims, eig.LanczosOptions{
-			Deflate: deflate,
-			Seed:    opt.Seed + 1,
-			Tol:     1e-7,
-			Ctx:     ctx,
-		})
-		return vecs, err
+	if opt.Solver == RQI {
+		return multilevelRQI(ctx, g, dims, opt)
 	}
+	_, vecs, err := eig.SmallestEigenpairs(sparse.Laplacian(g), dims, eig.LanczosOptions{
+		Deflate: [][]float64{eig.ConstantVector(n)},
+		Seed:    opt.Seed + 1,
+		Tol:     1e-7,
+		Ctx:     ctx,
+	})
+	return vecs, err
 }
 
 // multilevelRQI is Chaco's RQI/Symmlq eigensolver: coarsen the graph by

@@ -103,17 +103,6 @@ func TestNonPowerOfTwoK(t *testing.T) {
 	}
 }
 
-func TestNormalizedMode(t *testing.T) {
-	g := graph.Dumbbell(8, 8, 1)
-	p, err := Partition(g, 2, Options{Normalized: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CrossingWeight() != 1 {
-		t.Fatalf("normalized spectral crossing = %g, want 1", p.CrossingWeight())
-	}
-}
-
 func TestRQIOctasection(t *testing.T) {
 	g := graph.Grid2D(10, 10)
 	p, err := Partition(g, 8, Options{Solver: RQI, Arity: 8, Seed: 8})

@@ -142,11 +142,6 @@ type Options struct {
 	// receives solveFraction of it and uncoarsening refinement runs under a
 	// deadline at the full budget. 0 means no time limit (step-capped runs).
 	Budget time.Duration
-	// Imbalance is the balance slack refinement respects (default 0.10).
-	Imbalance float64
-	// RefinePasses bounds the greedy k-way refinement sweeps per level
-	// (default 4).
-	RefinePasses int
 	// Runtime optionally attaches the run to an engine portfolio worker
 	// slot: live progress flows from the coarsest solve, and incumbents are
 	// exchanged at level boundaries. Nil for standalone runs.
@@ -159,6 +154,13 @@ type Options struct {
 // fine graphs.
 const solveFraction = 0.8
 
+// Per-level refinement: the balance slack it respects and the greedy k-way
+// sweeps it runs at most.
+const (
+	refineImbalance float64 = 0.10
+	refinePasses            = 4
+)
+
 // Run executes one V-cycle over h: solve the coarsest graph, then project
 // the partition up level by level, refining at each. It returns the final
 // fine-graph partition; partial reports that ctx interrupted the run and
@@ -167,13 +169,6 @@ const solveFraction = 0.8
 // boundaries — and a run interrupted mid-hierarchy still returns a valid
 // k-way partition of the fine graph.
 func Run(ctx context.Context, h *Hierarchy, k int, opt Options, solve CoarseSolve) (*partition.P, bool, error) {
-	if opt.RefinePasses <= 0 {
-		opt.RefinePasses = 4
-	}
-	if opt.Imbalance <= 0 {
-		opt.Imbalance = 0.10
-	}
-
 	// The refinement phase honours the overall budget through a derived
 	// deadline; hitting it is a budget-bounded completion, not a
 	// cancellation, so partial tracks the parent context alone.
@@ -213,8 +208,8 @@ func Run(ctx context.Context, h *Hierarchy, k int, opt Options, solve CoarseSolv
 		}
 		refine.KWay(fp, refine.KWayOptions{
 			Objective: opt.Objective,
-			Imbalance: opt.Imbalance,
-			MaxPasses: opt.RefinePasses,
+			Imbalance: refineImbalance,
+			MaxPasses: refinePasses,
 			Ctx:       rctx,
 		})
 		assign = fp.Assignment()
