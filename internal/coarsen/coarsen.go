@@ -1,8 +1,10 @@
 // Package coarsen implements the graph-coarsening substrate shared by the
-// multilevel partitioner, the multilevel RQI eigensolver and the V-cycle
-// metaheuristic driver (package vcycle): repeated contraction of heavy-edge
-// matchings, preserving vertex weights and accumulating parallel edge
-// weights.
+// multilevel partitioner, the multilevel RQI eigensolver, the V-cycle
+// metaheuristic driver (package vcycle) and the memetic recombination:
+// repeated contraction of heavy-edge matchings, preserving vertex weights
+// and accumulating parallel edge weights, into a Hierarchy that every
+// multilevel walk reads through Coarsest and GraphAt. Cutoff is the V-cycle
+// cutoff rule.
 //
 // Contraction loses no weight: an edge that ends up inside a coarse vertex
 // is folded into that vertex's self-loop weight (graph.Builder.AddSelfLoop),
@@ -45,39 +47,53 @@ func (l Level) Project(coarse []int32) []int32 {
 	return fine
 }
 
-// HEM repeatedly contracts a heavy-edge matching (Hendrickson-Leland
-// / Karypis-Kumar style) until the graph has at most minSize vertices or the
-// reduction stalls. It returns the ladder from finest to coarsest; entry i
-// maps the vertices of graph i-1 (or of g for i == 0) onto graph i.
-func HEM(g *graph.Graph, minSize int, seed int64) []Level {
-	ladder, _ := HEMContext(context.Background(), g, minSize, seed)
-	return ladder
+// Hierarchy is a coarsening ladder: the input graph and its successive
+// contractions, finest to coarsest. It is read-only once built, so one
+// hierarchy may be shared by every worker of a portfolio — they then refine
+// partitions of the identical graphs, which is what makes level-boundary
+// incumbent exchange meaningful.
+type Hierarchy struct {
+	// Fine is the original input graph.
+	Fine *graph.Graph
+	// Levels is the ladder from finest to coarsest; Levels[i].Map sends the
+	// vertices of GraphAt(i) onto Levels[i].G. Empty when Fine is already at
+	// or below the cutoff.
+	Levels []Level
 }
 
-// HEMContext is HEM under cooperative cancellation: each level — one O(m)
-// matching-plus-contraction pass, the natural step boundary — polls ctx, and
-// the call returns ctx.Err() once it fires. No partial ladder is returned.
-func HEMContext(ctx context.Context, g *graph.Graph, minSize int, seed int64) ([]Level, error) {
-	r := rng.New(seed)
-	var ladder []Level
-	cur := g
-	for cur.NumVertices() > minSize {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		match := heavyEdgeMatching(cur, r)
-		coarse, toCoarse := contract(cur, match)
-		if coarse.NumVertices() >= cur.NumVertices() {
-			break // no reduction possible (e.g. edgeless graph)
-		}
-		ladder = append(ladder, Level{G: coarse, Map: toCoarse})
-		if float64(coarse.NumVertices()) > 0.95*float64(cur.NumVertices()) {
-			cur = coarse
-			break // diminishing returns; stop coarsening
-		}
-		cur = coarse
+// Coarsest returns the smallest graph of the hierarchy (Fine when no
+// coarsening happened).
+func (h *Hierarchy) Coarsest() *graph.Graph { return h.GraphAt(len(h.Levels)) }
+
+// GraphAt returns the finer graph that level li projects onto: Fine for
+// li == 0, the previous level's coarse graph otherwise.
+func (h *Hierarchy) GraphAt(li int) *graph.Graph {
+	if li == 0 {
+		return h.Fine
 	}
-	return ladder, nil
+	return h.Levels[li-1].G
+}
+
+// Cutoff is the coarsening cutoff of a k-way V-cycle: coarsenTo vertices,
+// or for coarsenTo <= 0 a default of max(8k, 128) — large enough that the
+// coarsest graph keeps real structure around k parts, small enough that
+// search steps there are cheap. Either is clamped to at least 2k so the
+// coarsest graph always has more than k vertices.
+func Cutoff(coarsenTo, k int) int {
+	if coarsenTo <= 0 {
+		coarsenTo = max(8*k, 128)
+	}
+	return max(coarsenTo, 2*k)
+}
+
+// HEMContext repeatedly contracts a heavy-edge matching (Hendrickson-Leland
+// / Karypis-Kumar style) until the graph has at most minSize vertices or the
+// reduction stalls. Each level — one O(m) matching-plus-contraction pass,
+// the natural step boundary — polls ctx, and the call returns ctx.Err()
+// once it fires. No partial hierarchy is returned.
+func HEMContext(ctx context.Context, g *graph.Graph, minSize int, seed int64) (*Hierarchy, error) {
+	h, _, err := HEMProtected(ctx, g, minSize, seed, nil)
+	return h, err
 }
 
 // HEMProtected is HEMContext with cut-edge protection: guides are complete
@@ -100,43 +116,50 @@ func HEMContext(ctx context.Context, g *graph.Graph, minSize int, seed int64) ([
 // of k parts bound the coarsest size from below by roughly the number of
 // connected intersection blocks of the guides (at most k^len(guides) for
 // two k-way parents), which is the operator's point: the coarsest graph IS
-// the overlay of the parent cuts. ctx is polled per level like HEMContext.
-func HEMProtected(ctx context.Context, g *graph.Graph, minSize int, seed int64, guides [][]int32) (ladder []Level, coarseGuides [][]int32, err error) {
+// the overlay of the parent cuts.
+func HEMProtected(ctx context.Context, g *graph.Graph, minSize int, seed int64, guides [][]int32) (h *Hierarchy, coarseGuides [][]int32, err error) {
 	for i, gd := range guides {
 		if len(gd) != g.NumVertices() {
 			return nil, nil, fmt.Errorf("coarsen: guide %d has %d labels for %d vertices", i, len(gd), g.NumVertices())
 		}
 	}
 	r := rng.New(seed)
+	h = &Hierarchy{Fine: g}
 	cur := g
 	coarseGuides = guides
 	for cur.NumVertices() > minSize {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		cg := coarseGuides
-		protect := func(u, v int) bool {
-			for _, gd := range cg {
-				if gd[u] != gd[v] {
-					return true
-				}
-			}
-			return false
-		}
-		match := heavyEdgeMatchingWorkers(cur, r, protect, matchWorkers(cur.NumVertices()))
+		match := heavyEdgeMatchingWorkers(cur, r, protectCuts(coarseGuides), matchWorkers(cur.NumVertices()))
 		coarse, toCoarse := contract(cur, match)
 		if coarse.NumVertices() >= cur.NumVertices() {
 			break // no contractible (unprotected) edge left
 		}
-		ladder = append(ladder, Level{G: coarse, Map: toCoarse})
-		coarseGuides = projectGuides(cg, toCoarse, coarse.NumVertices())
+		h.Levels = append(h.Levels, Level{G: coarse, Map: toCoarse})
+		coarseGuides = projectGuides(coarseGuides, toCoarse, coarse.NumVertices())
 		if float64(coarse.NumVertices()) > 0.95*float64(cur.NumVertices()) {
-			cur = coarse
 			break // diminishing returns; stop coarsening
 		}
 		cur = coarse
 	}
-	return ladder, coarseGuides, nil
+	return h, coarseGuides, nil
+}
+
+// protectCuts protects the edges whose endpoints disagree under any guide;
+// nil (protect nothing) without guides.
+func protectCuts(guides [][]int32) Protect {
+	if len(guides) == 0 {
+		return nil
+	}
+	return func(u, v int) bool {
+		for _, gd := range guides {
+			if gd[u] != gd[v] {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // projectGuides restates fine-level guides on the coarse graph: every fine
@@ -162,13 +185,6 @@ func projectGuides(guides [][]int32, toCoarse []int32, nc int) [][]int32 {
 // the duration of one matching pass.
 type Protect func(u, v int) bool
 
-// heavyEdgeMatching visits vertices in random order and matches each
-// unmatched vertex with its unmatched neighbor of maximum edge weight.
-// match[v] == v for unmatched vertices.
-func heavyEdgeMatching(g *graph.Graph, r *rand.Rand) []int32 {
-	return heavyEdgeMatchingWorkers(g, r, nil, matchWorkers(g.NumVertices()))
-}
-
 // matchWorkers picks the speculative-scan worker count for an n-vertex
 // graph: GOMAXPROCS, or one goroutine below parallelMatchMin where spawn
 // overhead exceeds the scan work. The matching is bit-identical either way.
@@ -180,9 +196,10 @@ func matchWorkers(n int) int {
 	return workers
 }
 
-// heavyEdgeMatchingWorkers is the matching engine behind heavyEdgeMatching
-// and the protected ladders, with the speculative worker count explicit so
-// tests can pin it.
+// heavyEdgeMatchingWorkers visits vertices in random order and matches each
+// unmatched vertex with its unmatched, unprotected neighbor of maximum edge
+// weight; match[v] == v for unmatched vertices. The speculative worker
+// count is explicit so tests can pin it.
 //
 // The matching is computed speculate-then-commit so the O(m) neighbor scans
 // — the V-cycle's serial prefix — run on every core while the result stays

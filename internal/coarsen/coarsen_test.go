@@ -1,6 +1,7 @@
 package coarsen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestHEMReducesAndPreservesWeight(t *testing.T) {
 	g := graph.Grid2D(16, 16)
-	ladder := HEM(g, 40, 3)
+	ladder := hem(t, g, 40, 3)
 	if len(ladder) == 0 {
 		t.Fatal("no coarsening")
 	}
@@ -33,7 +34,7 @@ func TestHEMReducesAndPreservesWeight(t *testing.T) {
 
 func TestHEMMapsAreSurjective(t *testing.T) {
 	g := graph.RandomGeometric(120, 0.18, 9)
-	ladder := HEM(g, 20, 9)
+	ladder := hem(t, g, 20, 9)
 	prev := g
 	for _, lvl := range ladder {
 		hit := make([]bool, lvl.G.NumVertices())
@@ -62,7 +63,7 @@ func TestHEMPrefersHeavyEdges(t *testing.T) {
 	b.AddEdge(3, 4, 1)
 	b.AddEdge(4, 5, 1)
 	g := b.MustBuild()
-	ladder := HEM(g, 2, 1)
+	ladder := hem(t, g, 2, 1)
 	if len(ladder) == 0 {
 		t.Fatal("no coarsening")
 	}
@@ -74,7 +75,7 @@ func TestHEMPrefersHeavyEdges(t *testing.T) {
 
 func TestHEMEdgelessGraph(t *testing.T) {
 	g := graph.NewBuilder(5).MustBuild()
-	if ladder := HEM(g, 2, 1); len(ladder) != 0 {
+	if ladder := hem(t, g, 2, 1); len(ladder) != 0 {
 		t.Fatalf("edgeless graph coarsened %d levels", len(ladder))
 	}
 }
@@ -93,7 +94,7 @@ func TestContractConservesTotalWeight(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			total := tc.g.TotalEdgeWeight() + tc.g.TotalLoopWeight()
-			ladder := HEM(tc.g, 25, 7)
+			ladder := hem(t, tc.g, 25, 7)
 			if len(ladder) < 2 {
 				t.Fatalf("want a multi-level ladder, got %d levels", len(ladder))
 			}
@@ -116,7 +117,7 @@ func TestContractConservesTotalWeight(t *testing.T) {
 // internal weight folded into self-loops is counted by package partition.
 func TestProjectPreservesObjectives(t *testing.T) {
 	g := graph.RandomGeometric(600, 0.08, 3)
-	ladder := HEM(g, 40, 3)
+	ladder := hem(t, g, 40, 3)
 	if len(ladder) < 2 {
 		t.Fatalf("want a multi-level ladder, got %d levels", len(ladder))
 	}
@@ -230,7 +231,7 @@ func TestParallelMatchingMatchesSerial(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for seed := int64(0); seed < seeds; seed++ {
-			got := heavyEdgeMatching(g, rng.New(seed))
+			got := heavyEdgeMatchingWorkers(g, rng.New(seed), nil, matchWorkers(g.NumVertices()))
 			want := serialHeavyEdgeMatching(g, rng.New(seed))
 			if len(got) != len(want) {
 				t.Fatalf("%s seed %d: length %d vs %d", name, seed, len(got), len(want))
@@ -259,8 +260,8 @@ func TestHEMDeterministic(t *testing.T) {
 	} else {
 		g = graph.RandomGeometric(5000, 0.015, 3)
 	}
-	a := HEM(g, 64, 42)
-	b := HEM(g, 64, 42)
+	a := hem(t, g, 64, 42)
+	b := hem(t, g, 64, 42)
 	if len(a) != len(b) {
 		t.Fatalf("ladder lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -274,4 +275,14 @@ func TestHEMDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hem coarsens g under context.Background() and returns the ladder.
+func hem(t *testing.T, g *graph.Graph, minSize int, seed int64) []Level {
+	t.Helper()
+	h, err := HEMContext(context.Background(), g, minSize, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Levels
 }

@@ -72,7 +72,7 @@ func TestProtectedLadderInvariants(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				r := rng.New(seed * 31)
 				guides := randomGuides(tc.g, tc.k, r)
-				ladder, coarseGuides, err := HEMProtected(context.Background(), tc.g, 2*tc.k, seed, guides)
+				h, coarseGuides, err := HEMProtected(context.Background(), tc.g, 2*tc.k, seed, guides)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,7 +90,7 @@ func TestProtectedLadderInvariants(t *testing.T) {
 
 				fine := tc.g
 				fineGuides := guides
-				for li, lvl := range ladder {
+				for li, lvl := range h.Levels {
 					// (1) No protected edge contracted: endpoints that
 					// disagree under any guide must land in distinct coarse
 					// vertices.
@@ -224,12 +224,12 @@ func TestHEMProtectedAllCutStalls(t *testing.T) {
 		alternating[v] = int32((v%6 + v/6) % 2) // checkerboard: every edge cut
 	}
 	uniform := make([]int32, n)
-	ladder, cg, err := HEMProtected(context.Background(), g, 4, 1, [][]int32{alternating, uniform})
+	h, cg, err := HEMProtected(context.Background(), g, 4, 1, [][]int32{alternating, uniform})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ladder) != 0 {
-		t.Fatalf("checkerboard guide protected every edge, yet ladder has %d levels", len(ladder))
+	if len(h.Levels) != 0 {
+		t.Fatalf("checkerboard guide protected every edge, yet ladder has %d levels", len(h.Levels))
 	}
 	for v := range alternating {
 		if cg[0][v] != alternating[v] || cg[1][v] != uniform[v] {

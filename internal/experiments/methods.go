@@ -50,7 +50,7 @@ type RunConfig struct {
 	// does not mark Multilevel support.
 	Multilevel bool
 	// CoarsenTo is the V-cycle's coarsening cutoff in vertices (0 selects
-	// vcycle.DefaultCoarsenTo(k)); meaningful with Multilevel or
+	// the default of coarsen.Cutoff); meaningful with Multilevel or
 	// MemeticCrossover.
 	CoarsenTo int
 	// MemeticCrossover switches the genetic algorithm's crossover to the
@@ -286,7 +286,7 @@ func (m metaheuristic) runVCycle(ctx context.Context, g *graph.Graph, k int, cfg
 			budget = time.Millisecond
 		}
 	}
-	stats := h.Stats()
+	stats := vcycle.StatsOf(h)
 	res, workers, err := portfolio(ctx, cfg, 0, // boundary exchanges only, no step cadence
 		func(o workerOutcome) float64 { return cfg.Objective.Evaluate(o.p) },
 		func(ctx context.Context, rt *engine.Runtime, seed int64) (o workerOutcome, err error) {

@@ -186,8 +186,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			adopted := append([]int32(nil), assign...) // other workers share the slice
 			if opt.MemeticCrossover {
 				if p, err := memetic.Recombine(ctx, g, k, adopted, pop[0].assign, memetic.Options{
-					Objective: opt.Objective, CoarsenTo: opt.CoarsenTo,
-					Imbalance: 0.5, Seed: r.Int63(),
+					Objective: opt.Objective, CoarsenTo: opt.CoarsenTo, Seed: r.Int63(),
 				}); err == nil {
 					adopted = p.Assignment()
 				}
@@ -212,8 +211,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 				// — no mutate/repair/rebuild. The floor guarantee makes the
 				// child at worst as good as its better parent.
 				p, err := memetic.Recombine(ctx, g, k, pa.assign, pb.assign, memetic.Options{
-					Objective: opt.Objective, CoarsenTo: opt.CoarsenTo,
-					Imbalance: 0.5, Seed: r.Int63(),
+					Objective: opt.Objective, CoarsenTo: opt.CoarsenTo, Seed: r.Int63(),
 				})
 				if err == nil {
 					next = append(next, individual{

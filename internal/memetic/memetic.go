@@ -7,7 +7,8 @@
 // (projection is exact — package coarsen folds contracted-edge weight into
 // self-loops, so coarse objectives equal fine objectives), and greedy k-way
 // refinement on the way back up picks the best pieces of each parent along
-// the preserved boundaries.
+// the preserved boundaries. The protected ladder is a coarsen.Hierarchy cut
+// off by coarsen.Cutoff, the same type and rule the V-cycle uses.
 //
 // The operator carries a floor guarantee: the offspring is never worse than
 // the better parent under the target objective. It holds by construction —
@@ -33,7 +34,6 @@ import (
 	"repro/internal/objective"
 	"repro/internal/partition"
 	"repro/internal/refine"
-	"repro/internal/vcycle"
 )
 
 // Options configures one recombination.
@@ -41,20 +41,22 @@ type Options struct {
 	// Objective is the criterion refinement improves and the floor guarantee
 	// is stated under (default MCut, like everywhere in this repository).
 	Objective objective.Objective
-	// CoarsenTo is the protected hierarchy's coarsening cutoff in vertices
-	// (0 selects vcycle.DefaultCoarsenTo(k), clamped to at least 2k).
+	// CoarsenTo is the protected hierarchy's coarsening cutoff in vertices,
+	// resolved by coarsen.Cutoff (0 selects the default; at least 2k).
 	// Protection usually stops coarsening above the cutoff anyway — the
 	// coarsest graph is the overlay of the parents' cuts.
 	CoarsenTo int
-	// Imbalance is the balance slack refinement respects (default 0.10).
-	Imbalance float64
 	// Seed drives the protected matcher's vertex-visit order. Same seed and
 	// parents, same offspring.
 	Seed int64
 }
 
-// refinePasses bounds the greedy k-way refinement sweeps per level.
-const refinePasses = 4
+// Per-level refinement: the balance slack it respects and the greedy k-way
+// sweeps it runs at most.
+const (
+	refineImbalance float64 = 0.5
+	refinePasses            = 4
+)
 
 // Recombine combines two parent assignments of g (labels in [0, k)) into an
 // offspring partition by a cut-protecting V-cycle, never worse than the
@@ -70,9 +72,6 @@ func Recombine(ctx context.Context, g *graph.Graph, k int, parentA, parentB []in
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opt.Imbalance <= 0 {
-		opt.Imbalance = 0.10
-	}
 	pa, err := partition.FromAssignment(g, parentA, k)
 	if err != nil {
 		return nil, fmt.Errorf("memetic: parent A: %w", err)
@@ -87,16 +86,20 @@ func Recombine(ctx context.Context, g *graph.Graph, k int, parentA, parentB []in
 		fitter, fitterE, fitterIdx = pb, eb, 1
 	}
 
-	cutoff := opt.CoarsenTo
-	if cutoff <= 0 {
-		cutoff = vcycle.DefaultCoarsenTo(k)
-	}
-	if cutoff < 2*k {
-		cutoff = 2 * k
-	}
-	ladder, coarseGuides, err := coarsen.HEMProtected(ctx, g, cutoff, opt.Seed, [][]int32{parentA, parentB})
+	h, coarseGuides, err := coarsen.HEMProtected(ctx, g, coarsen.Cutoff(opt.CoarsenTo, k), opt.Seed, [][]int32{parentA, parentB})
 	if err != nil {
 		return nil, err
+	}
+	refined := func(onto *graph.Graph, assign []int32) (*partition.P, error) {
+		p, err := partition.FromAssignment(onto, assign, k)
+		if err != nil {
+			return nil, err
+		}
+		refine.KWay(p, refine.KWayOptions{
+			Objective: opt.Objective, Imbalance: refineImbalance,
+			MaxPasses: refinePasses, Ctx: ctx,
+		})
+		return p, nil
 	}
 
 	// Seed the coarsest graph from the fitter parent. Protection kept every
@@ -104,42 +107,19 @@ func Recombine(ctx context.Context, g *graph.Graph, k int, parentA, parentB []in
 	// parent's exact objective — refinement can only improve on it, and the
 	// offspring's moves are free to adopt the other parent's boundaries
 	// wherever they score better.
-	assign := coarseGuides[fitterIdx]
-	coarsest := g
-	if len(ladder) > 0 {
-		coarsest = ladder[len(ladder)-1].G
-	}
-	cp, err := partition.FromAssignment(coarsest, assign, k)
+	offspring, err := refined(h.Coarsest(), coarseGuides[fitterIdx])
 	if err != nil {
 		return nil, fmt.Errorf("memetic: coarse seed: %w", err)
 	}
-	refine.KWay(cp, refine.KWayOptions{
-		Objective: opt.Objective, Imbalance: opt.Imbalance,
-		MaxPasses: refinePasses, Ctx: ctx,
-	})
-	assign = cp.Assignment()
 
 	// Uncoarsen: project and refine per level, exactly the budgeted V-cycle
 	// projection loop. Refinement only commits improving moves and the
 	// projection is objective-exact, so the energy is monotone from the
 	// fitter parent's value down.
-	offspring := cp
-	for li := len(ladder) - 1; li >= 0; li-- {
-		assign = ladder[li].Project(assign)
-		fineG := g
-		if li > 0 {
-			fineG = ladder[li-1].G
-		}
-		fp, err := partition.FromAssignment(fineG, assign, k)
-		if err != nil {
+	for li := len(h.Levels) - 1; li >= 0; li-- {
+		if offspring, err = refined(h.GraphAt(li), h.Levels[li].Project(offspring.Assignment())); err != nil {
 			return nil, fmt.Errorf("memetic: projecting level %d: %w", li, err)
 		}
-		refine.KWay(fp, refine.KWayOptions{
-			Objective: opt.Objective, Imbalance: opt.Imbalance,
-			MaxPasses: refinePasses, Ctx: ctx,
-		})
-		assign = fp.Assignment()
-		offspring = fp
 	}
 
 	// The explicit floor guard. Unreachable through the monotone path above,

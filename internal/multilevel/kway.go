@@ -34,33 +34,25 @@ func PartitionKWayContext(ctx context.Context, g *graph.Graph, k int, opt Option
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("multilevel: k=%d out of range [1,%d]", k, n)
 	}
-	ladder := coarsen.HEM(g, max(96, 4*k), opt.Seed)
-	coarsest := g
-	if len(ladder) > 0 {
-		coarsest = ladder[len(ladder)-1].G
+	h, err := coarsen.HEMContext(ctx, g, max(96, 4*k), opt.Seed)
+	if err != nil {
+		return nil, err
 	}
-	kc := k
-	if kc > coarsest.NumVertices() {
-		kc = coarsest.NumVertices()
-	}
-	coarseP, err := spectral.PartitionContext(ctx, coarsest, kc, spectral.Options{Seed: opt.Seed})
+	coarsest := h.Coarsest()
+	coarseP, err := spectral.PartitionContext(ctx, coarsest, min(k, coarsest.NumVertices()), spectral.Options{Seed: opt.Seed})
 	if err != nil {
 		return nil, err
 	}
 	local := coarseP.Assignment()
-	for li := len(ladder) - 1; li >= 0; li-- {
+	for li := len(h.Levels) - 1; li >= 0; li-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		fine := g
-		if li > 0 {
-			fine = ladder[li-1].G
-		}
-		local = ladder[li].Project(local)
+		local = h.Levels[li].Project(local)
 		if opt.DisableRefine {
 			continue
 		}
-		p, err := partition.FromAssignment(fine, local, k)
+		p, err := partition.FromAssignment(h.GraphAt(li), local, k)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,9 @@
 // heavy-edge matching, partition the coarse graph spectrally, then uncoarsen
 // while applying local refinement at every level. Bisection mode performs
 // multilevel recursive bisection; octasection mode partitions each level
-// 8 ways and refines with a greedy k-way pass.
+// 8 ways and refines with a greedy k-way pass. The recursion is package
+// recursive's driver; each split is one V-cycle over a coarsen.Hierarchy.
+// PartitionKWay walks a single hierarchy for the whole graph instead.
 package multilevel
 
 import (
@@ -14,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/partition"
+	"repro/internal/recursive"
 	"repro/internal/refine"
 	"repro/internal/spectral"
 )
@@ -50,72 +53,11 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	if opt.Arity != 2 && opt.Arity != 8 {
 		return nil, fmt.Errorf("multilevel: arity must be 2 or 8, got %d", opt.Arity)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	assign := make([]int32, n)
-	verts := make([]int32, n)
-	for v := range verts {
-		verts[v] = int32(v)
-	}
-	nextPart := int32(0)
-	if err := splitRec(ctx, g, verts, k, opt, assign, &nextPart); err != nil {
-		return nil, err
-	}
-	return partition.FromAssignment(g, assign, k)
-}
-
-func splitRec(ctx context.Context, g *graph.Graph, verts []int32, kNode int, opt Options, assign []int32, nextPart *int32) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if kNode == 1 {
-		id := *nextPart
-		*nextPart++
-		for _, v := range verts {
-			assign[v] = id
-		}
-		return nil
-	}
-	groups := opt.Arity
-	for groups > kNode {
-		groups /= 2
-	}
-	if groups < 2 {
-		groups = 2
-	}
-	kPer := make([]int, groups)
-	for i := range kPer {
-		kPer[i] = kNode / groups
-		if i < kNode%groups {
-			kPer[i]++
-		}
-	}
-
-	sub := graph.Induced(g, verts)
-	local, err := splitMultilevel(ctx, sub.G, kPer, opt)
-	if err != nil {
-		return err
-	}
-	chunkOf := make([][]int32, groups)
-	for i, v := range verts {
-		chunkOf[local[i]] = append(chunkOf[local[i]], v)
-	}
-	for gi := 0; gi < groups; gi++ {
-		if len(chunkOf[gi]) == 0 {
-			*nextPart += int32(kPer[gi])
-			continue
-		}
-		kgi := kPer[gi]
-		if kgi > len(chunkOf[gi]) {
-			*nextPart += int32(kPer[gi] - len(chunkOf[gi]))
-			kgi = len(chunkOf[gi])
-		}
-		if err := splitRec(ctx, g, chunkOf[gi], kgi, opt, assign, nextPart); err != nil {
-			return err
-		}
-	}
-	return nil
+	return recursive.Partition(ctx, g, k, func(ctx context.Context, verts []int32, kNode int) ([]int32, []int, error) {
+		kPer := recursive.Spread(kNode, spectral.Groups(opt.Arity, kNode))
+		local, err := splitMultilevel(ctx, graph.Induced(g, verts).G, kPer, opt)
+		return local, kPer, err
+	})
 }
 
 // splitMultilevel performs one multilevel V-cycle on g: coarsen, split the
@@ -123,12 +65,11 @@ func splitRec(ctx context.Context, g *graph.Graph, verts []int32, kNode int, opt
 // per-level refinement.
 func splitMultilevel(ctx context.Context, g *graph.Graph, kPer []int, opt Options) ([]int32, error) {
 	// The coarsest graph keeps at least four vertices per group.
-	ladder := coarsen.HEM(g, max(48, 4*opt.Arity), opt.Seed)
-	coarsest := g
-	if len(ladder) > 0 {
-		coarsest = ladder[len(ladder)-1].G
+	h, err := coarsen.HEMContext(ctx, g, max(48, 4*opt.Arity), opt.Seed)
+	if err != nil {
+		return nil, err
 	}
-	local, err := spectral.SplitGraphContext(ctx, coarsest, kPer, spectral.Options{
+	local, err := spectral.SplitGraphContext(ctx, h.Coarsest(), kPer, spectral.Options{
 		Solver: spectral.Lanczos,
 		Seed:   opt.Seed,
 	})
@@ -136,22 +77,16 @@ func splitMultilevel(ctx context.Context, g *graph.Graph, kPer []int, opt Option
 		return nil, err
 	}
 	if !opt.DisableRefine {
-		refineLevel(ctx, coarsest, local, kPer)
+		refineLevel(ctx, h.Coarsest(), local, kPer)
 	}
 	// Uncoarsen: project through each level, refining as we go.
-	for li := len(ladder) - 1; li >= 0; li-- {
+	for li := len(h.Levels) - 1; li >= 0; li-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var fine *graph.Graph
-		if li == 0 {
-			fine = g
-		} else {
-			fine = ladder[li-1].G
-		}
-		local = ladder[li].Project(local)
+		local = h.Levels[li].Project(local)
 		if !opt.DisableRefine {
-			refineLevel(ctx, fine, local, kPer)
+			refineLevel(ctx, h.GraphAt(li), local, kPer)
 		}
 	}
 	return local, nil

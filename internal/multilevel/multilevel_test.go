@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func TestCoarseningPreservesTotals(t *testing.T) {
 		r := rng.New(seed)
 		n := 30 + r.Intn(100)
 		g := graph.RandomGeometric(n, 0.2, seed)
-		ladder := coarsen.HEM(g, 10, seed)
+		ladder := ladderOf(t, g, 10, seed)
 		prev := g
 		for _, lvl := range ladder {
 			// Vertex weight is conserved exactly.
@@ -50,7 +51,7 @@ func TestCoarseningPreservesTotals(t *testing.T) {
 
 func TestCoarseningReduces(t *testing.T) {
 	g := graph.Grid2D(20, 20)
-	ladder := coarsen.HEM(g, 50, 1)
+	ladder := ladderOf(t, g, 50, 1)
 	if len(ladder) == 0 {
 		t.Fatal("no coarsening happened")
 	}
@@ -64,7 +65,7 @@ func TestCoarsenCutConsistency(t *testing.T) {
 	// A partition of the coarse graph, projected to the fine graph, must
 	// have exactly the same crossing weight (self-loops never cross).
 	g := graph.RandomGeometric(80, 0.2, 3)
-	ladder := coarsen.HEM(g, 20, 3)
+	ladder := ladderOf(t, g, 20, 3)
 	if len(ladder) == 0 {
 		t.Skip("graph too small to coarsen")
 	}
@@ -185,4 +186,14 @@ func TestErrors(t *testing.T) {
 	if _, err := Partition(g, 2, Options{Arity: 4}); err == nil {
 		t.Fatal("arity 4 accepted")
 	}
+}
+
+// ladderOf coarsens g under context.Background() and returns the ladder.
+func ladderOf(t *testing.T, g *graph.Graph, minSize int, seed int64) []coarsen.Level {
+	t.Helper()
+	h, err := coarsen.HEMContext(context.Background(), g, minSize, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Levels
 }

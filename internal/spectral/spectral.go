@@ -6,8 +6,13 @@
 // "Lanc" and "RQI" rows:
 //
 //   - Lanczos: full-reorthogonalization Lanczos on the Laplacian;
-//   - RQI: a loose Lanczos estimate polished by Rayleigh Quotient Iteration
-//     with a MINRES inner solver (Chaco's RQI/Symmlq).
+//   - RQI: eigenvectors solved on the coarsest graph of a coarsen.Hierarchy
+//     and polished by Rayleigh Quotient Iteration with a MINRES inner
+//     solver on every finer level (Chaco's RQI/Symmlq).
+//
+// The recursion is package recursive's driver; this package supplies the
+// split (SplitGraphContext plus optional KL) and the group-count rule
+// Groups, which the multilevel method shares.
 package spectral
 
 import (
@@ -19,6 +24,7 @@ import (
 	"repro/internal/eig"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/recursive"
 	"repro/internal/refine"
 	"repro/internal/sparse"
 )
@@ -77,94 +83,40 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	if opt.Arity != 2 && opt.Arity != 4 && opt.Arity != 8 {
 		return nil, fmt.Errorf("spectral: arity must be 2, 4 or 8, got %d", opt.Arity)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	assign := make([]int32, n)
-	verts := make([]int32, n)
-	for v := range verts {
-		verts[v] = int32(v)
-	}
-	nextPart := int32(0)
-	if err := splitRec(ctx, g, verts, k, opt, assign, &nextPart); err != nil {
-		return nil, err
-	}
-	return partition.FromAssignment(g, assign, k)
+	return recursive.Partition(ctx, g, k, func(ctx context.Context, verts []int32, kNode int) ([]int32, []int, error) {
+		kPer := recursive.Spread(kNode, Groups(opt.Arity, kNode))
+		sub := graph.Induced(g, verts).G
+		local, err := SplitGraphContext(ctx, sub, kPer, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		if opt.KL {
+			if len(kPer) == 2 {
+				w0target := sub.TotalVertexWeight() * float64(kPer[0]) / float64(kNode)
+				refine.KL(sub, local, refine.BisectOptions{TargetWeight0: w0target, Ctx: ctx})
+			} else {
+				refine.PairwiseKL(sub, local, len(kPer), refine.BisectOptions{Ctx: ctx})
+			}
+		}
+		return local, kPer, nil
+	})
 }
 
-func splitRec(ctx context.Context, g *graph.Graph, verts []int32, kNode int, opt Options, assign []int32, nextPart *int32) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// Groups is the split width of a recursion node of kNode parts: arity
+// halved until it fits kNode, and at least 2 — a power of two, as
+// SplitGraphContext requires.
+func Groups(arity, kNode int) int {
+	for arity > kNode {
+		arity /= 2
 	}
-	if kNode == 1 {
-		id := *nextPart
-		*nextPart++
-		for _, v := range verts {
-			assign[v] = id
-		}
-		return nil
-	}
-	groups := opt.Arity
-	for groups > kNode {
-		groups /= 2
-	}
-	if groups < 2 {
-		groups = 2
-	}
-	kPer := make([]int, groups)
-	for i := range kPer {
-		kPer[i] = kNode / groups
-		if i < kNode%groups {
-			kPer[i]++
-		}
-	}
-
-	sub := graph.Induced(g, verts)
-	local, err := SplitGraphContext(ctx, sub.G, kPer, opt)
-	if err != nil {
-		return err
-	}
-	if opt.KL {
-		if groups == 2 {
-			w0target := sub.G.TotalVertexWeight() * float64(kPer[0]) / float64(kNode)
-			refine.KL(sub.G, local, refine.BisectOptions{TargetWeight0: w0target, Ctx: ctx})
-		} else {
-			refine.PairwiseKL(sub.G, local, groups, refine.BisectOptions{Ctx: ctx})
-		}
-	}
-
-	chunkOf := make([][]int32, groups)
-	for i, v := range verts {
-		chunkOf[local[i]] = append(chunkOf[local[i]], v)
-	}
-	for gi := 0; gi < groups; gi++ {
-		if len(chunkOf[gi]) == 0 {
-			*nextPart += int32(kPer[gi])
-			continue
-		}
-		kgi := kPer[gi]
-		if kgi > len(chunkOf[gi]) {
-			kgi = len(chunkOf[gi])
-			// Allocate the ids we cannot fill so numbering stays dense.
-			*nextPart += int32(kPer[gi] - kgi)
-		}
-		if err := splitRec(ctx, g, chunkOf[gi], kgi, opt, assign, nextPart); err != nil {
-			return err
-		}
-	}
-	return nil
+	return max(arity, 2)
 }
 
-// SplitGraph splits an entire graph into len(kPer) groups with target vertex
-// weights proportional to kPer, using log2(len(kPer)) eigenvectors. It
-// returns the group of each vertex. Exposed for the multilevel method, which
-// uses it as its coarse-graph solver.
-func SplitGraph(g *graph.Graph, kPer []int, opt Options) ([]int32, error) {
-	return SplitGraphContext(context.Background(), g, kPer, opt)
-}
-
-// SplitGraphContext is SplitGraph under cooperative cancellation; it returns
-// ctx.Err() once ctx fires during the eigensolves.
+// SplitGraphContext splits an entire graph into len(kPer) groups with
+// target vertex weights proportional to kPer, using log2(len(kPer))
+// eigenvectors, and returns the group of each vertex. It returns ctx.Err()
+// once ctx fires during the eigensolves. Exported for the multilevel
+// method, which uses it as its coarse-graph solver.
 func SplitGraphContext(ctx context.Context, g *graph.Graph, kPer []int, opt Options) ([]int32, error) {
 	n := g.NumVertices()
 	groups := len(kPer)
@@ -285,20 +237,12 @@ func fiedlerVectors(ctx context.Context, g *graph.Graph, dims int, opt Options) 
 // eigenvector, which is what keeps RQI locked onto the Fiedler (and
 // next-lowest) eigenvectors rather than an arbitrary eigenpair.
 func multilevelRQI(ctx context.Context, g *graph.Graph, dims int, opt Options) ([][]float64, error) {
-	minSize := 12 * dims
-	if minSize < 40 {
-		minSize = 40
+	h, err := coarsen.HEMContext(ctx, g, max(12*dims, 40), opt.Seed+7)
+	if err != nil {
+		return nil, err
 	}
-	ladder := coarsen.HEM(g, minSize, opt.Seed+7)
-	coarsest := g
-	if len(ladder) > 0 {
-		coarsest = ladder[len(ladder)-1].G
-	}
-	cd := dims
-	if max := coarsest.NumVertices() - 1; cd > max {
-		cd = max
-	}
-	_, vecs, err := eig.SmallestEigenpairs(sparse.Laplacian(coarsest), cd, eig.LanczosOptions{
+	coarsest := h.Coarsest()
+	_, vecs, err := eig.SmallestEigenpairs(sparse.Laplacian(coarsest), min(dims, coarsest.NumVertices()-1), eig.LanczosOptions{
 		Deflate: [][]float64{eig.ConstantVector(coarsest.NumVertices())},
 		Seed:    opt.Seed + 1,
 		Tol:     1e-8,
@@ -307,11 +251,8 @@ func multilevelRQI(ctx context.Context, g *graph.Graph, dims int, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	for li := len(ladder) - 1; li >= 0; li-- {
-		fine := g
-		if li > 0 {
-			fine = ladder[li-1].G
-		}
+	for li := len(h.Levels) - 1; li >= 0; li-- {
+		fine := h.GraphAt(li)
 		nf := fine.NumVertices()
 		op := sparse.Laplacian(fine)
 		deflate := [][]float64{eig.ConstantVector(nf)}
@@ -322,7 +263,7 @@ func multilevelRQI(ctx context.Context, g *graph.Graph, dims int, opt Options) (
 			}
 			x := make([]float64, nf)
 			for v := 0; v < nf; v++ {
-				x[v] = coarseVec[ladder[li].Map[v]]
+				x[v] = coarseVec[h.Levels[li].Map[v]]
 			}
 			_, px, _ := eig.RQI(op, x, eig.RQIOptions{
 				Deflate: append(append([][]float64{}, deflate...), polished...),
@@ -335,7 +276,7 @@ func multilevelRQI(ctx context.Context, g *graph.Graph, dims int, opt Options) (
 	}
 	// If the coarsest graph was too small for every requested vector, top
 	// up with accurate Lanczos vectors on the full graph.
-	for len(vecs) < dims {
+	if len(vecs) < dims {
 		_, more, err := eig.SmallestEigenpairs(sparse.Laplacian(g), dims, eig.LanczosOptions{
 			Deflate: [][]float64{eig.ConstantVector(g.NumVertices())},
 			Seed:    opt.Seed + 2,

@@ -13,8 +13,11 @@
 // internal weight, the objective the solver optimizes on the coarsest graph
 // is exactly the fine graph's objective — not an approximation of it.
 //
+// The hierarchy is a coarsen.Hierarchy, built by Build under the cutoff
+// rule coarsen.Cutoff that the memetic recombination uses too.
+//
 // Portfolios compose: each worker of an engine.Portfolio runs its own
-// V-cycle over one shared Hierarchy, and workers exchange incumbents at
+// V-cycle over one shared hierarchy, and workers exchange incumbents at
 // level boundaries (engine.Runtime.Exchange) — the phase transitions where
 // all workers hold partitions of the same graph — rather than at step
 // indices inside the coarsest solve. Step-capped runs visit the same
@@ -35,66 +38,16 @@ import (
 	"repro/internal/refine"
 )
 
-// DefaultCoarsenTo is the default coarsening cutoff for a k-way solve:
-// coarsening stops once the graph has at most this many vertices. Large
-// enough that the coarsest graph retains real structure around k parts,
-// small enough that metaheuristic steps there are cheap.
-func DefaultCoarsenTo(k int) int {
-	if c := 8 * k; c > 128 {
-		return c
-	}
-	return 128
-}
+// Hierarchy names coarsen.Hierarchy, the ladder Build returns, for callers
+// that hold one.
+type Hierarchy = coarsen.Hierarchy
 
-// Hierarchy is a coarsening ladder built once per solve and shared
-// read-only by every portfolio worker — sharing it is what makes
-// level-boundary incumbent exchange meaningful, since all workers then
-// refine partitions of the identical graphs.
-type Hierarchy struct {
-	// Fine is the original input graph.
-	Fine *graph.Graph
-	// Levels is the ladder from finest to coarsest; Levels[i].Map sends the
-	// vertices of the previous level (Fine for i == 0) onto Levels[i].G.
-	// Empty when Fine is already at or below the cutoff.
-	Levels []coarsen.Level
-}
-
-// Build coarsens g by repeated heavy-edge matching until at most coarsenTo
-// vertices remain (0 selects DefaultCoarsenTo(k); the cutoff is clamped to
-// at least 2k so the coarsest graph always has more than k vertices).
-// Coarsening polls ctx at every level and returns ctx.Err() once it fires,
-// so a cancelled job never burns CPU building a ladder nobody will use.
-func Build(ctx context.Context, g *graph.Graph, coarsenTo, k int, seed int64) (*Hierarchy, error) {
-	cutoff := coarsenTo
-	if cutoff <= 0 {
-		cutoff = DefaultCoarsenTo(k)
-	}
-	if cutoff < 2*k {
-		cutoff = 2 * k
-	}
-	ladder, err := coarsen.HEMContext(ctx, g, cutoff, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Hierarchy{Fine: g, Levels: ladder}, nil
-}
-
-// Coarsest returns the smallest graph of the hierarchy (Fine when no
-// coarsening happened).
-func (h *Hierarchy) Coarsest() *graph.Graph {
-	if len(h.Levels) == 0 {
-		return h.Fine
-	}
-	return h.Levels[len(h.Levels)-1].G
-}
-
-// graphAt returns the finer graph that level li projects onto: Fine for
-// li == 0, the previous level's coarse graph otherwise.
-func (h *Hierarchy) graphAt(li int) *graph.Graph {
-	if li == 0 {
-		return h.Fine
-	}
-	return h.Levels[li-1].G
+// Build coarsens g by repeated heavy-edge matching down to
+// coarsen.Cutoff(coarsenTo, k) vertices. Coarsening polls ctx at every
+// level and returns ctx.Err() once it fires, so a cancelled job never burns
+// CPU building a ladder nobody will use.
+func Build(ctx context.Context, g *graph.Graph, coarsenTo, k int, seed int64) (*coarsen.Hierarchy, error) {
+	return coarsen.HEMContext(ctx, g, coarsen.Cutoff(coarsenTo, k), seed)
 }
 
 // Stats describes the shape of a hierarchy; the facade reports it so
@@ -111,8 +64,8 @@ type Stats struct {
 	VertexCounts []int `json:"vertex_counts"`
 }
 
-// Stats summarizes the hierarchy's shape.
-func (h *Hierarchy) Stats() Stats {
+// StatsOf summarizes the hierarchy's shape.
+func StatsOf(h *coarsen.Hierarchy) Stats {
 	s := Stats{
 		Levels:           len(h.Levels),
 		CoarsestVertices: h.Coarsest().NumVertices(),
@@ -168,7 +121,7 @@ const (
 // the coarsest solver polls at its step cadence, refinement at sweep
 // boundaries — and a run interrupted mid-hierarchy still returns a valid
 // k-way partition of the fine graph.
-func Run(ctx context.Context, h *Hierarchy, k int, opt Options, solve CoarseSolve) (*partition.P, bool, error) {
+func Run(ctx context.Context, h *coarsen.Hierarchy, k int, opt Options, solve CoarseSolve) (*partition.P, bool, error) {
 	// The refinement phase honours the overall budget through a derived
 	// deadline; hitting it is a budget-bounded completion, not a
 	// cancellation, so partial tracks the parent context alone.
@@ -202,7 +155,7 @@ func Run(ctx context.Context, h *Hierarchy, k int, opt Options, solve CoarseSolv
 		assign, energy = exchange(opt.Runtime, assign, energy)
 		assign = h.Levels[li].Project(assign)
 
-		fp, err = partition.FromAssignment(h.graphAt(li), assign, k)
+		fp, err = partition.FromAssignment(h.GraphAt(li), assign, k)
 		if err != nil {
 			return nil, false, fmt.Errorf("vcycle: projecting level %d: %w", li, err)
 		}

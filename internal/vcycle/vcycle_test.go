@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -30,7 +31,7 @@ func TestBuildClampsAndStats(t *testing.T) {
 	if len(h.Levels) == 0 {
 		t.Fatal("no coarsening on an 800-vertex graph")
 	}
-	st := h.Stats()
+	st := StatsOf(h)
 	if st.Levels != len(h.Levels) {
 		t.Fatalf("Stats.Levels = %d, want %d", st.Levels, len(h.Levels))
 	}
@@ -159,7 +160,7 @@ func TestRunRealSolverDeterministic(t *testing.T) {
 	}
 }
 
-func mustBuild(t *testing.T, g *graph.Graph, coarsenTo, k int, seed int64) *Hierarchy {
+func mustBuild(t *testing.T, g *graph.Graph, coarsenTo, k int, seed int64) *coarsen.Hierarchy {
 	t.Helper()
 	h, err := Build(context.Background(), g, coarsenTo, k, seed)
 	if err != nil {
