@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"os"
@@ -59,10 +60,6 @@ const binaryHeaderLen = 4 + 1 + 1 + 2 + 4 + 4 + sha256.Size
 // binaryFlagLoops marks the presence of the self-loop weight section.
 const binaryFlagLoops = 1 << 0
 
-// maxBinaryVertices bounds the vertex/edge counts a decoder accepts; CSR
-// indices are int32, so anything larger cannot round-trip anyway.
-const maxBinaryVertices = 1<<31 - 1
-
 // ContentHash hashes a graph's full content — vertex count, vertex weights,
 // the sorted CSR adjacency with edge weights, and (when present) self-loop
 // weights — so the same graph reaches the same digest no matter how it was
@@ -73,42 +70,58 @@ const maxBinaryVertices = 1<<31 - 1
 // the pre-store releases hashed, so their digests are stable across
 // versions.
 func ContentHash(g *Graph) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(x int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	writeFloat := func(f float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		h.Write(buf[:])
-	}
+	w := hashWriter{h: sha256.New(), buf: make([]byte, 0, hashChunk)}
 	n := g.NumVertices()
-	writeInt(int64(n))
-	writeInt(int64(g.NumEdges()))
+	w.put(uint64(n))
+	w.put(uint64(g.NumEdges()))
 	for v := 0; v < n; v++ {
-		writeFloat(g.VertexWeight(v))
+		w.put(math.Float64bits(g.VertexWeight(v)))
 		nbrs := g.Neighbors(v)
 		wts := g.Weights(v)
 		for i, u := range nbrs {
 			if int(u) < v {
 				continue // count each undirected edge once, from its low endpoint
 			}
-			writeInt(int64(u))
-			writeFloat(wts[i])
+			w.put(uint64(u))
+			w.put(math.Float64bits(wts[i]))
 		}
 	}
 	if g.HasLoops() {
 		// Appended only when loops exist, so loop-free digests are
 		// byte-for-byte the historical ones.
-		writeInt(-1) // section marker, unreachable as a neighbor id
+		w.put(math.MaxUint64) // section marker -1, unreachable as a neighbor id
 		for v := 0; v < n; v++ {
-			writeFloat(g.VertexLoop(v))
+			w.put(math.Float64bits(g.VertexLoop(v)))
 		}
 	}
+	w.flush()
 	var out [sha256.Size]byte
-	h.Sum(out[:0])
+	w.h.Sum(out[:0])
 	return out
+}
+
+// hashChunk is the byte count ContentHash hands to SHA-256 per Write: a
+// multiple of both the 8-byte word and the 64-byte SHA-256 block.
+const hashChunk = 4096
+
+// hashWriter batches the little-endian 64-bit words of the content hash
+// stream into hashChunk-byte writes; the hashed bytes are the same as one
+// Write per word.
+type hashWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (w *hashWriter) put(x uint64) {
+	if len(w.buf) == cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, x)
+}
+
+func (w *hashWriter) flush() {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
 }
 
 // Digest is ContentHash rendered as lowercase hex — the string form used as
@@ -225,7 +238,7 @@ func PeekBinary(data []byte) (BinaryInfo, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	m := int(binary.LittleEndian.Uint32(data[12:]))
-	if n > maxBinaryVertices || m > maxBinaryVertices/2 {
+	if n > MaxVertices || m > MaxVertices/2 {
 		return info, fmt.Errorf("graph: binary header counts %d %d exceed implementation limits", n, m)
 	}
 	info.N, info.M = n, m

@@ -239,7 +239,28 @@ func TestDecodeBinaryRejects(t *testing.T) {
 // TestContentHashMatchesNeighborStream cross-checks ContentHash against an
 // independent reimplementation of the documented stream.
 func TestContentHashMatchesNeighborStream(t *testing.T) {
-	g := loopy()
+	// loopy's stream fits in one hashChunk; the weighted random geometric
+	// graph's spans many, ending mid-chunk, and has a loop section.
+	big := NewBuilder(3000)
+	RandomGeometric(3000, 0.04, 5).ForEachEdge(func(u, v int, w float64) {
+		big.AddEdge(u, v, w+float64(u%7)/8)
+	})
+	big.SetVertexWeight(17, 2.5)
+	big.AddSelfLoop(2999, 0.25)
+	bigGraph := big.MustBuild()
+	if size := len(contentStream(bigGraph)); size <= 2*hashChunk || size%hashChunk == 0 {
+		t.Fatalf("big: stream of %d bytes does not end mid-chunk after several", size)
+	}
+	for name, g := range map[string]*Graph{"loopy": loopy(), "big": bigGraph} {
+		if ContentHash(g) != sha256.Sum256(contentStream(g)) {
+			t.Fatalf("%s: ContentHash does not match the documented byte stream", name)
+		}
+	}
+}
+
+// contentStream writes the byte stream ContentHash documents, one word at a
+// time.
+func contentStream(g *Graph) []byte {
 	var stream bytes.Buffer
 	writeInt := func(x int64) {
 		var b [8]byte
@@ -258,12 +279,21 @@ func TestContentHashMatchesNeighborStream(t *testing.T) {
 			}
 		}
 	}
-	writeInt(-1)
-	for v := 0; v < g.NumVertices(); v++ {
-		writeFloat(g.VertexLoop(v))
+	if g.HasLoops() {
+		writeInt(-1)
+		for v := 0; v < g.NumVertices(); v++ {
+			writeFloat(g.VertexLoop(v))
+		}
 	}
-	want := sha256.Sum256(stream.Bytes())
-	if got := ContentHash(g); got != want {
-		t.Fatal("ContentHash does not match the documented byte stream")
+	return stream.Bytes()
+}
+
+// TestDigestPinned pins the RG-10k digest recorded before the hash stream
+// was batched: stored graph ids, result-cache keys and island exchange keys
+// all carry it, so it must never move.
+func TestDigestPinned(t *testing.T) {
+	const want = "42f29fb4c8d8463dd691701da50bea662f680f9aa3f1ded25c764ce6113f09fa"
+	if got := Digest(RandomGeometric(10000, 0.02, 1)); got != want {
+		t.Fatalf("Digest(RandomGeometric(10000, 0.02, 1)) = %s, want %s", got, want)
 	}
 }

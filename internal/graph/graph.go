@@ -146,6 +146,10 @@ func (g *Graph) ForEachEdgeID(fn func(e, u, v int, w float64)) {
 	}
 }
 
+// MaxVertices bounds a graph's vertex count, and MaxVertices/2 its edge
+// count: CSR vertex and arc indices are int32.
+const MaxVertices = 1<<31 - 1
+
 // Builder accumulates edges and produces an immutable Graph.
 // Parallel edges between the same vertex pair are merged by summing weights.
 //

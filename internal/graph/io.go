@@ -96,8 +96,7 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative header counts %d %d", n, m)
 	}
-	const maxID = 1<<31 - 1 // vertex and edge ids are int32 in CSR form
-	if n > maxID || m > maxID/2 {
+	if n > MaxVertices || m > MaxVertices/2 {
 		return nil, fmt.Errorf("graph: header counts %d %d exceed implementation limits", n, m)
 	}
 	hasVW, hasEW := false, false

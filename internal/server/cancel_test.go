@@ -8,6 +8,7 @@ import (
 	"time"
 
 	ff "repro"
+	"repro/internal/graph"
 )
 
 // These tests pin down the service half of cooperative cancellation: a
@@ -82,7 +83,7 @@ func TestCancelledJobLeaksNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := decodeGraph(ring(64))
+	g, err := decodeGraph(ring(64), graph.MaxVertices)
 	if err != nil {
 		t.Fatal(err)
 	}

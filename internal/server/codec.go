@@ -99,7 +99,7 @@ type GraphSpec struct {
 	N int `json:"n,omitempty"`
 	// Edges lists undirected edges as [u, v] or [u, v, weight] with
 	// 0-based integer endpoints; weight defaults to 1.
-	Edges [][]float64 `json:"edges,omitempty"`
+	Edges EdgeList `json:"edges,omitempty"`
 	// VertexWeights optionally assigns per-vertex weights (length N).
 	VertexWeights []float64 `json:"vertex_weights,omitempty"`
 	// ID references a stored graph by its content id (the digest returned
@@ -130,8 +130,10 @@ func notFoundf(format string, args ...any) error {
 }
 
 // decodeGraph materializes the request's inline graph (spec.ID resolution
-// happens in the server, which owns the store).
-func decodeGraph(spec GraphSpec) (*graph.Graph, error) {
+// happens in the server, which owns the store). An edge list may declare at
+// most maxVertices vertices, the bound METIS text gets from needing one
+// line per vertex: n is checked before anything is allocated for it.
+func decodeGraph(spec GraphSpec, maxVertices int64) (*graph.Graph, error) {
 	hasMETIS := spec.METIS != ""
 	hasEdges := spec.N != 0 || len(spec.Edges) != 0 || len(spec.VertexWeights) != 0
 	switch {
@@ -146,19 +148,23 @@ func decodeGraph(spec GraphSpec) (*graph.Graph, error) {
 		}
 		return g, nil
 	case hasEdges:
-		return decodeEdgeList(spec)
+		return decodeEdgeList(spec, maxVertices)
 	}
 	return nil, badRequestf("graph: missing (want graph.id, graph.metis or graph.n + graph.edges)")
 }
 
-func decodeEdgeList(spec GraphSpec) (*graph.Graph, error) {
+func decodeEdgeList(spec GraphSpec, maxVertices int64) (*graph.Graph, error) {
 	if spec.N <= 0 {
 		return nil, badRequestf("graph: n must be positive, got %d", spec.N)
+	}
+	if limit := min(maxVertices, graph.MaxVertices); int64(spec.N) > limit {
+		return nil, badRequestf("graph: n = %d exceeds the limit of %d vertices", spec.N, limit)
 	}
 	if len(spec.VertexWeights) != 0 && len(spec.VertexWeights) != spec.N {
 		return nil, badRequestf("graph: %d vertex weights for %d vertices", len(spec.VertexWeights), spec.N)
 	}
 	b := graph.NewBuilder(spec.N)
+	b.Reserve(len(spec.Edges))
 	for i, w := range spec.VertexWeights {
 		b.SetVertexWeight(i, w)
 	}

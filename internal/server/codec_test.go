@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func mustDecode(t *testing.T, spec GraphSpec) *graph.Graph {
 	t.Helper()
-	g, err := decodeGraph(spec)
+	g, err := decodeGraph(spec, graph.MaxVertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +192,19 @@ func TestDecodeGraphErrors(t *testing.T) {
 		"self loop":    {N: 2, Edges: [][]float64{{1, 1}}},
 		"out of range": {N: 2, Edges: [][]float64{{0, 2}}},
 		"negative idx": {N: 2, Edges: [][]float64{{-1, 1}}},
+		"huge n":       {N: 2000000000, Edges: [][]float64{}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := decodeGraph(spec); err == nil {
+			if _, err := decodeGraph(spec, 1<<20); err == nil {
 				t.Fatalf("spec %+v accepted", spec)
 			} else if !strings.Contains(err.Error(), "graph") {
 				t.Fatalf("unhelpful error: %v", err)
 			}
 		})
+	}
+	// However large the caller's bound, n stays within int32 CSR indices.
+	if _, err := decodeGraph(GraphSpec{N: 1 << 31}, math.MaxInt64); err == nil || !strings.HasPrefix(err.Error(), "graph: ") {
+		t.Fatalf("n = 2^31 accepted or unhelpful error: %v", err)
 	}
 }
 

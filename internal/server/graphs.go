@@ -43,7 +43,7 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.store.Stats())
 	case http.MethodPut, http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		g, err := decodeUpload(r)
+		g, err := decodeUpload(r, s.cfg.MaxBodyBytes)
 		if err != nil {
 			s.writeRequestError(w, err)
 			return
@@ -63,8 +63,9 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeUpload materializes an uploaded graph from either encoding.
-func decodeUpload(r *http.Request) (*graph.Graph, error) {
+// decodeUpload materializes an uploaded graph from either encoding;
+// maxVertices bounds an edge list's n as in decodeGraph.
+func decodeUpload(r *http.Request, maxVertices int64) (*graph.Graph, error) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
 		data, err := io.ReadAll(r.Body)
 		if err != nil {
@@ -83,7 +84,7 @@ func decodeUpload(r *http.Request) (*graph.Graph, error) {
 	if spec.ID != "" {
 		return nil, badRequestf("graph: uploads carry content, not an id")
 	}
-	return decodeGraph(spec)
+	return decodeGraph(spec, maxVertices)
 }
 
 // handleGraphByID serves the per-graph endpoints:

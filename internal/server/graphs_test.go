@@ -95,7 +95,7 @@ func TestGraphUploadDedupAndPartitionByID(t *testing.T) {
 	}
 
 	// The same graph as binary CSR bytes lands on the same id.
-	g, err := decodeGraph(twoSquares())
+	g, err := decodeGraph(twoSquares(), graph.MaxVertices)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -400,7 +400,7 @@ func (s *Server) resolveGraph(spec GraphSpec) (*graph.Graph, string, error) {
 		}
 		return g, spec.ID, nil
 	}
-	g, err := decodeGraph(spec) // also rejects id + inline content
+	g, err := decodeGraph(spec, s.cfg.MaxBodyBytes) // also rejects id + inline content
 	if err != nil {
 		return nil, "", err
 	}

@@ -118,9 +118,9 @@ func (s *Store) path(id string) string { return filepath.Join(s.dir, id+fileExt)
 // Put stores g and returns its content id. The second result reports
 // whether the graph was new (false = deduplicated against an existing
 // copy). The encoded form is written to disk before the id becomes
-// addressable, so a crash never leaves a dangling id.
+// addressable, so a crash never leaves a dangling id. Both tiers account a
+// graph at its encoded length; a memory-only store never encodes.
 func (s *Store) Put(g *graph.Graph) (string, bool, error) {
-	data := graph.EncodeBinary(g)
 	id := graph.Digest(g)
 
 	s.mu.Lock()
@@ -133,7 +133,7 @@ func (s *Store) Put(g *graph.Graph) (string, bool, error) {
 	s.mu.Unlock()
 
 	if s.dir != "" && !spilled {
-		if err := writeAtomic(s.path(id), data); err != nil {
+		if err := writeAtomic(s.path(id), graph.EncodeBinary(g)); err != nil {
 			return "", false, fmt.Errorf("store: spilling %s: %w", id[:12], err)
 		}
 	}
@@ -144,9 +144,10 @@ func (s *Store) Put(g *graph.Graph) (string, bool, error) {
 	if _, ok := s.byID[id]; ok {
 		return id, false, nil // racing Put of the same graph won
 	}
-	s.admit(id, g, int64(len(data)))
+	size := int64(graph.EncodedBinaryLen(g))
+	s.admit(id, g, size)
 	if s.dir != "" {
-		s.onDisk[id] = int64(len(data))
+		s.onDisk[id] = size
 	}
 	return id, created, nil
 }

@@ -244,3 +244,52 @@ func TestStatsShape(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%+v", st) // Stats must be printable (used in /v1/graphs listing)
 }
+
+// TestSizesAreEncodedLengths: both tiers account each graph at exactly the
+// length of its binary encoding, whether or not the store ever encodes it.
+func TestSizesAreEncodedLengths(t *testing.T) {
+	weighted := graph.NewBuilder(4)
+	weighted.AddEdge(0, 1, 2.5)
+	weighted.AddEdge(2, 3, 0.125)
+	weighted.SetVertexWeight(1, 3)
+	loopy := graph.NewBuilder(3)
+	loopy.AddEdge(0, 1, 1)
+	loopy.AddSelfLoop(2, 0.75)
+	graphs := []*graph.Graph{weighted.MustBuild(), loopy.MustBuild(), graph.NewBuilder(5).MustBuild()}
+	var want int64
+	for _, g := range graphs {
+		want += int64(len(graph.EncodeBinary(g)))
+	}
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range graphs {
+			if _, _, err := s.Put(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Stats()
+		if st.MemBytes != want {
+			t.Fatalf("dir %q: %d bytes in memory, want %d", dir, st.MemBytes, want)
+		}
+		if dir != "" && st.DiskBytes != want {
+			t.Fatalf("dir %q: %d bytes on disk, want %d", dir, st.DiskBytes, want)
+		}
+	}
+}
+
+// BenchmarkPutMemoryOnly is admission of RG-10k into a fresh memory-only
+// store: the content digest plus the size accounting, with no encoding.
+func BenchmarkPutMemoryOnly(b *testing.B) {
+	g := graph.RandomGeometric(10000, 0.02, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, _ := Open("", 0)
+		if _, _, err := s.Put(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
