@@ -20,9 +20,11 @@
 // and memory eviction, and warm-started repartitions of mutated graphs skip
 // re-uploading entirely.
 //
-// With -island-id and -peers the instance joins a federated fleet: requests
-// carrying "federate": true exchange incumbents with the peer instances over
-// POST /v1/islands/exchange, and every island converges on the same winner.
+// With -island-id and -peers the instance joins a federated fleet: flat
+// annealing and genetic requests carrying "federate": true exchange
+// incumbents with the peer instances over POST /v1/islands/exchange, and
+// every island converges on the same winner. Other methods run independent
+// island searches; the client reduces their results.
 //
 //	ffserve -addr :8080 -island-id 0 -peers http://10.0.0.2:8080
 //

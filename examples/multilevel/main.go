@@ -46,8 +46,8 @@ func main() {
 	}
 
 	// 3. Multilevel + portfolio: every worker V-cycles the shared
-	// hierarchy from its own seed; incumbents are exchanged at level
-	// boundaries. (Widths beyond the core count oversubscribe.)
+	// hierarchy from its own seed and the best result wins. (Widths beyond
+	// the core count oversubscribe.)
 	mlp := ml
 	mlp.Parallelism = 2
 	pres := run(g, mlp, "multilevel + portfolio(2)")

@@ -160,8 +160,10 @@ type Options struct {
 	MaxSteps int `json:"max_steps,omitempty"`
 	// Parallelism is the portfolio width for metaheuristics: that many
 	// concurrent workers run the method from independently derived seeds
-	// (worker 0 keeps Seed itself), periodically exchanging incumbents, and
-	// the best final partition wins deterministically. 0 and 1 run the
+	// (worker 0 keeps Seed itself) and the best final partition wins
+	// deterministically. Flat annealing and genetic workers also exchange
+	// incumbents at a step cadence, which BENCH_exchange.json shows pays
+	// for them; every other portfolio is independent restarts. 0 and 1 run the
 	// plain serial solver, bit-identical to earlier releases; classical
 	// methods ignore the field, and widths beyond MaxParallelism are
 	// rejected (each worker is a full concurrent solver instance). For
@@ -175,7 +177,7 @@ type Options struct {
 	// standard acceleration for large graphs, typically reaching a flat
 	// search's quality in a fraction of its budget. Composes with
 	// Parallelism: each worker runs its own V-cycle over one shared
-	// hierarchy and incumbents are exchanged at level boundaries. Honoured
+	// hierarchy, independently of the others, and the best wins. Honoured
 	// by the methods MethodInfos marks Multilevel (the engine-backed
 	// metaheuristics) and cleared for all others during normalization, the
 	// same way Parallelism is pinned for classical methods.
@@ -231,7 +233,9 @@ type Options struct {
 	// Exchange, when non-nil, federates the metaheuristic's incumbent
 	// exchange across islands: each exchange round's local winner is traded
 	// with the peer islands and every worker receives the fleet-wide
-	// winner. The server's HTTP island transport provides the
+	// winner. Only flat annealing and genetic portfolios exchange; the
+	// other methods never call it, so their islands search independently.
+	// The server's HTTP island transport provides the
 	// implementation; the field never travels through JSON.
 	Exchange Relay `json:"-"`
 }
@@ -371,8 +375,8 @@ type Result struct {
 	// Options.Multilevel was honoured.
 	Hierarchy *HierarchyStats `json:"hierarchy,omitempty"`
 	// ExchangeRounds counts the incumbent-exchange rounds the solve
-	// completed — step-cadence barriers, V-cycle level boundaries, and
-	// cross-island gossip rounds alike. 0 for serial, non-exchanging runs.
+	// completed — step-cadence barriers, federated across islands or not.
+	// 0 for serial runs and for methods whose portfolios never exchange.
 	ExchangeRounds int64 `json:"exchange_rounds,omitempty"`
 	// Island reports this process's island index when the run was federated
 	// (Options.Exchange set) or explicitly placed (Options.Island > 0);

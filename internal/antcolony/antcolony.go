@@ -42,8 +42,9 @@ type Options struct {
 	// Initial optionally provides a starting partition; when nil,
 	// percolation is run.
 	Initial *partition.P
-	// Runtime optionally attaches the run to a shared engine runtime — the
-	// portfolio incumbent exchange and the live-progress monitor. Nil for
+	// Runtime optionally attaches the run to a portfolio worker slot and
+	// the live-progress monitor. The search never adopts another worker's
+	// incumbent, so a portfolio of it is independent restarts. Nil for
 	// standalone runs.
 	Runtime *engine.Runtime
 }
@@ -190,25 +191,6 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	colonySums := make([]float64, k) // reassignByPheromone scratch
 
 	for loop.Next() {
-		// A portfolio peer found a strictly better partition: adopt it as
-		// the current ownership and the new personal best, and reinforce
-		// its interior so the colonies retain the imported structure.
-		if assign, fe, ok := loop.Foreign(); ok && fe < bestE {
-			if p, err := partition.FromAssignment(g, assign, cur.Capacity()); err == nil {
-				cur = p
-				tr = score.NewTracker(cur, opt.Objective, eps)
-				if e := tr.Value(); e < bestE && cur.NumParts() == k {
-					bestE = e
-					best.CopyFrom(cur)
-					loop.Improved(bestE, best.Compact)
-				}
-				g.ForEachEdgeID(func(eid, u, v int, w float64) {
-					if a := cur.Part(u); a == cur.Part(v) {
-						tau[eid*k+a] += eliteQ
-					}
-				})
-			}
-		}
 		// March the ants.
 		for c := 0; c < k; c++ {
 			territory := cur.VerticesOf(c)

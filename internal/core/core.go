@@ -46,8 +46,9 @@ type Options struct {
 	Seed int64
 	// Initial optionally replaces the Algorithm 2 initialization.
 	Initial *partition.P
-	// Runtime optionally attaches the run to a shared engine runtime — the
-	// portfolio incumbent exchange and the live-progress monitor. Nil for
+	// Runtime optionally attaches the run to a portfolio worker slot and
+	// the live-progress monitor. The search never adopts another worker's
+	// incumbent, so a portfolio of it is independent restarts. Nil for
 	// standalone runs.
 	Runtime *engine.Runtime
 	// DisablePercolationFission splits atoms randomly instead of with
@@ -199,13 +200,10 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		if t <= tMin {
 			// Freezing point: every loose nucleon settles (cold
 			// consolidation), then the search restarts from the best
-			// partition, reheated — a portfolio peer's strictly better
-			// incumbent wins over our own if one arrived.
+			// partition, reheated.
 			s.relaxAll()
 			s.afterEvent(loop)
-			if !s.adoptForeign(loop) {
-				s.cur.CopyFrom(s.bestOverall)
-			}
+			s.cur.CopyFrom(s.bestOverall)
 			prevE = s.energy.energy(s.cur)
 			t = tMax
 		}

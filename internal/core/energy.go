@@ -24,9 +24,8 @@ import (
 // raw objective from one pass over the parts, and the next event's
 // "before" energy reuses that value. Measured on the airspace instance,
 // the pass is about 3% of the solve, so keeping per-part terms current
-// through every fission, merge and foreign adoption (a bound
-// score.Tracker) would buy little, and it would change the summation order
-// the pinned trajectories depend on.
+// through every fission and merge (a bound score.Tracker) would buy little,
+// and it would change the summation order the pinned trajectories depend on.
 
 type energyModel struct {
 	obj    objective.Objective

@@ -122,23 +122,6 @@ func (s *search) afterEvent(loop *engine.Loop) float64 {
 	return e
 }
 
-// adoptForeign replaces the current molecule with a portfolio peer's
-// incumbent when it strictly beats this worker's own best at K — the
-// KaFFPaE-style re-seeding, applied at the freezing point where the search
-// restarts from an incumbent anyway. Reports whether it adopted.
-func (s *search) adoptForeign(loop *engine.Loop) bool {
-	assign, e, ok := loop.Foreign()
-	if !ok || (s.bestAtK != nil && e >= s.bestAtKE) {
-		return false
-	}
-	p, err := partition.FromAssignment(s.g, assign, s.g.NumVertices())
-	if err != nil {
-		return false
-	}
-	s.cur = p
-	return true
-}
-
 // initialize is Algorithm 2: the run starts from the molecule in which every
 // vertex is its own atom (maximal energy) and fusion events — with law-drawn
 // nucleon ejections, but no temperature and no nucleon-induced fission —

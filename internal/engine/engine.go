@@ -13,9 +13,11 @@
 //     live-progress feed (steps, best objective, workers) behind the HTTP
 //     API's GET /v1/jobs/{id}.
 //   - Portfolio: N concurrent workers running independently seeded instances
-//     of one solver, periodically exchanging incumbents KaFFPaE-style
-//     (Sanders & Schulz, Distributed Evolutionary Graph Partitioning) and
-//     reduced deterministically to a single winner.
+//     of one solver, reduced deterministically to a single winner. Solvers
+//     whose portfolios measurably gain from it (annealing and the GA, per
+//     BENCH_exchange.json) also exchange incumbents KaFFPaE-style (Sanders &
+//     Schulz, Distributed Evolutionary Graph Partitioning) at a step
+//     cadence; every other portfolio is independent restarts.
 //   - Relay: the cross-process side of the portfolio's exchange barrier —
 //     with one attached, each round's local winner is traded against peer
 //     islands (the HTTP long-poll gossip in internal/server), turning a

@@ -89,8 +89,9 @@ type Progress struct {
 	// Workers is the portfolio width of the solve.
 	Workers int `json:"workers"`
 	// ExchangeRounds counts completed incumbent-exchange rounds — step-
-	// cadence barriers, V-cycle level boundaries, and cross-island gossip
-	// rounds alike — so a poller can watch exchange activity.
+	// cadence barriers, federated across islands or not — so a poller can
+	// watch exchange activity. It stays 0 for portfolios that never
+	// exchange.
 	ExchangeRounds int64 `json:"exchange_rounds"`
 	// Island is this process's island index when the solve is federated
 	// across ffserve instances; absent for single-process runs.

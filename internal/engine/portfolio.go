@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -41,43 +43,6 @@ type Runtime struct {
 	transport *exchanger
 }
 
-// Solo returns a runtime that shares this one's monitor, worker index and
-// island but is detached from the portfolio's incumbent exchange. The
-// multilevel V-cycle hands it to the coarsest-level solver so live progress
-// keeps flowing while exchanges happen only at level boundaries (through
-// Exchange), never at the solver's own step cadence — step-cadence
-// exchanges would swap partitions of different hierarchy levels between
-// workers. A nil receiver returns nil.
-func (rt *Runtime) Solo() *Runtime {
-	if rt == nil {
-		return nil
-	}
-	return &Runtime{Monitor: rt.Monitor, Worker: rt.Worker, Island: rt.Island}
-}
-
-// Exchange performs one manual incumbent exchange outside any Loop: it
-// deposits (energy, snapshot()) as this worker's current best, blocks until
-// every active worker has reached its own exchange point for this round, and
-// returns the round winner's assignment and energy if it strictly beats the
-// deposited one and came from another worker (or another island). The
-// multilevel V-cycle calls it at level boundaries — its natural phase
-// transitions — where all workers hold partitions of the same graph, so the
-// traded assignments are commensurate. Deterministic for runs whose workers
-// reach the same boundaries in the same order (step-capped V-cycles do). On
-// a nil runtime, a runtime without transport attachment, or after
-// cancellation stopped the transport, it returns (nil, 0, false) without
-// blocking.
-func (rt *Runtime) Exchange(energy float64, snapshot func() []int32) ([]int32, float64, bool) {
-	if rt == nil || rt.transport == nil {
-		return nil, 0, false
-	}
-	win, ok := rt.transport.Sync(rt.Worker, Candidate{Assign: snapshot(), Energy: energy, Worker: rt.Worker, Has: true})
-	if ok && !rt.ownCandidate(win) && win.Energy < energy {
-		return win.Assign, win.Energy, true
-	}
-	return nil, 0, false
-}
-
 // ownCandidate reports whether c was deposited by this very worker.
 func (rt *Runtime) ownCandidate(c Candidate) bool {
 	return c.Island == rt.Island && c.Worker == rt.Worker
@@ -93,9 +58,8 @@ type PortfolioOptions struct {
 	// DeriveSeed(Seed, Island*Workers+w), so every worker across a fleet
 	// draws from a distinct stream even though all islands share Seed.
 	Seed int64
-	// SyncEvery is the incumbent-exchange cadence in loop steps (0 = the
-	// workers never exchange at step indices; manual Runtime.Exchange
-	// boundaries still work).
+	// SyncEvery is the incumbent-exchange cadence in loop steps; 0 makes
+	// the workers independent restarts that never exchange.
 	SyncEvery int
 	// Monitor optionally receives live progress from all workers.
 	Monitor *Incumbent
@@ -105,18 +69,20 @@ type PortfolioOptions struct {
 	Island int
 	// Relay, when non-nil, federates the portfolio: each exchange round's
 	// local winner is traded against the peer islands and the global winner
-	// is what every worker receives. A relay forces the transport path even
-	// for Workers 1 (a one-worker island still gossips).
+	// is what every worker receives. With a non-zero SyncEvery a relay forces
+	// the transport path even for Workers 1 (a one-worker island still
+	// gossips); with SyncEvery 0 it is never called.
 	Relay Relay
 }
 
 // Portfolio runs one solver as opt.Workers concurrent, independently seeded
-// instances that exchange incumbents through a barrier (federated across
-// islands when a Relay is attached), and reduces the outcomes to a
-// deterministic winner: the lowest energy, ties to the lowest worker index.
-// Worker errors are tolerated while at least one worker produces a result;
-// if all fail, the lowest-indexed worker's error (or the context's, once it
-// fired) is returned.
+// instances — exchanging incumbents through a barrier when opt.SyncEvery is
+// non-zero (federated across islands when a Relay is attached) — and
+// reduces the outcomes to a deterministic winner: the lowest energy, ties to
+// the lowest worker index. A worker that returns an error or panics loses
+// only its own result, which is tolerated while at least one worker produces
+// one; if all fail, the lowest-indexed worker's error (or the context's,
+// once it fired) is returned.
 func Portfolio[R any](ctx context.Context, opt PortfolioOptions,
 	energy func(R) float64,
 	solve func(ctx context.Context, rt *Runtime, seed int64) (R, error),
@@ -132,21 +98,26 @@ func Portfolio[R any](ctx context.Context, opt PortfolioOptions,
 		}
 	}
 	offset := opt.Island * workers // the fleet-global index of local worker 0
-	if workers == 1 && opt.Relay == nil {
-		rt := &Runtime{Monitor: opt.Monitor, Worker: 0, Island: opt.Island, SyncEvery: opt.SyncEvery}
-		res, err := solve(ctx, rt, DeriveSeed(opt.Seed, offset))
+	exchanging := opt.SyncEvery > 0 && (workers > 1 || opt.Relay != nil)
+	if workers == 1 && !exchanging {
+		rt := &Runtime{Monitor: opt.Monitor, Worker: 0, Island: opt.Island}
+		res, err := contained(ctx, solve, rt, DeriveSeed(opt.Seed, offset))
 		return res, 1, err
 	}
 
-	exch := newExchanger(workers, opt.Island, opt.Relay, opt.Monitor)
-	watchDone := make(chan struct{})
-	go func() { // wake barrier waiters the moment the context fires
-		select {
-		case <-ctx.Done():
-			exch.Stop()
-		case <-watchDone:
-		}
-	}()
+	var exch *exchanger
+	if exchanging {
+		exch = newExchanger(workers, opt.Island, opt.Relay, opt.Monitor)
+		watchDone := make(chan struct{})
+		defer close(watchDone)
+		go func() { // wake barrier waiters the moment the context fires
+			select {
+			case <-ctx.Done():
+				exch.Stop()
+			case <-watchDone:
+			}
+		}()
+	}
 
 	results := make([]R, workers)
 	errs := make([]error, workers)
@@ -155,13 +126,15 @@ func Portfolio[R any](ctx context.Context, opt PortfolioOptions,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rt := &Runtime{Monitor: opt.Monitor, Worker: w, Island: opt.Island, SyncEvery: opt.SyncEvery, transport: exch}
-			defer exch.Leave(w)
-			results[w], errs[w] = solve(ctx, rt, DeriveSeed(opt.Seed, offset+w))
+			rt := &Runtime{Monitor: opt.Monitor, Worker: w, Island: opt.Island}
+			if exch != nil {
+				rt.SyncEvery, rt.transport = opt.SyncEvery, exch
+				defer exch.Leave(w)
+			}
+			results[w], errs[w] = contained(ctx, solve, rt, DeriveSeed(opt.Seed, offset+w))
 		}(w)
 	}
 	wg.Wait()
-	close(watchDone)
 
 	bestW := -1
 	var bestE float64
@@ -186,4 +159,22 @@ func Portfolio[R any](ctx context.Context, opt PortfolioOptions,
 		return zero, workers, errs[0] // unreachable: some err is non-nil
 	}
 	return results[bestW], workers, nil
+}
+
+// ErrPanicked marks the error of a worker whose solve panicked; errors.Is
+// finds it through any wrapping.
+var ErrPanicked = errors.New("panicked")
+
+// contained runs one worker's solve and turns a panic into that worker's
+// error, so a faulty search costs its own result, never the process.
+func contained[R any](ctx context.Context,
+	solve func(ctx context.Context, rt *Runtime, seed int64) (R, error),
+	rt *Runtime, seed int64,
+) (res R, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: worker %d %w: %v", rt.Worker, ErrPanicked, r)
+		}
+	}()
+	return solve(ctx, rt, seed)
 }

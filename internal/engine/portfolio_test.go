@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,63 +217,36 @@ func TestPortfolioMonitorAggregation(t *testing.T) {
 	}
 }
 
-func TestRuntimeSolo(t *testing.T) {
-	var nilRT *Runtime
-	if nilRT.Solo() != nil {
-		t.Fatal("nil.Solo() != nil")
+// TestPortfolioContainsWorkerPanic: a panicking worker becomes that
+// worker's error. Alone (width 1, run inline) the portfolio returns it; at
+// width 3 the barrier still releases the other workers, which keep
+// exchanging, and the best of them wins.
+func TestPortfolioContainsWorkerPanic(t *testing.T) {
+	_, _, err := Portfolio(context.Background(), PortfolioOptions{Workers: 1, Seed: 1},
+		toyEnergy,
+		func(ctx context.Context, rt *Runtime, seed int64) (*toyResult, error) {
+			panic("boom")
+		})
+	if err == nil || !strings.Contains(err.Error(), "worker 0 panicked: boom") {
+		t.Fatalf("width 1: err = %v", err)
 	}
-	mon := NewIncumbent()
-	rt := &Runtime{Monitor: mon, Worker: 3, SyncEvery: 64, transport: newExchanger(2, 0, nil, nil)}
-	solo := rt.Solo()
-	if solo.Monitor != mon || solo.Worker != 3 {
-		t.Fatal("Solo dropped monitor or worker index")
-	}
-	if solo.transport != nil || solo.SyncEvery != 0 {
-		t.Fatal("Solo kept the exchange attachment")
-	}
-	// A detached runtime's Exchange is a non-blocking no-op.
-	if _, _, ok := solo.Exchange(1.0, func() []int32 { return nil }); ok {
-		t.Fatal("detached Exchange returned a winner")
-	}
-}
 
-// TestRuntimeExchangeManual drives manual (level-boundary style) exchanges
-// through a real portfolio: every worker deposits its own energy at two
-// barriers, and all workers except the best must adopt the best worker's
-// assignment.
-func TestRuntimeExchangeManual(t *testing.T) {
-	const workers = 4
-	type got struct {
-		adopted []int32
-		ok      bool
-	}
-	results := make([]got, workers)
-	_, _, err := Portfolio(context.Background(), PortfolioOptions{Workers: workers, Seed: 9},
-		func(int) float64 { return 0 },
-		func(ctx context.Context, rt *Runtime, seed int64) (int, error) {
-			own := []int32{int32(rt.Worker)}
-			// Round 1: worker w deposits energy 10+w; worker 0 wins.
-			a, _, ok := rt.Exchange(float64(10+rt.Worker), func() []int32 { return own })
-			// Round 2: all workers deposit the same improved energy; no
-			// strict improvement for anyone, so nothing is adopted.
-			if _, _, ok2 := rt.Exchange(5, func() []int32 { return own }); ok2 {
-				return 0, fmt.Errorf("worker %d adopted at equal energy", rt.Worker)
+	res, _, err := Portfolio(context.Background(), PortfolioOptions{Workers: 3, Seed: 1, SyncEvery: 1},
+		toyEnergy,
+		func(ctx context.Context, rt *Runtime, seed int64) (*toyResult, error) {
+			loop := NewLoop(ctx, LoopOptions{MaxSteps: 8, PollEvery: 1, Runtime: rt})
+			loop.Improved(float64(10-rt.Worker), func() []int32 { return []int32{int32(rt.Worker)} })
+			for loop.Next() {
+				if rt.Worker == 2 && loop.Steps() == 3 {
+					panic("boom")
+				}
 			}
-			results[rt.Worker] = got{a, ok}
-			return 0, nil
+			return &toyResult{worker: rt.Worker, energy: float64(10 - rt.Worker)}, nil
 		})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("width 3: portfolio failed despite surviving workers: %v", err)
 	}
-	for w, r := range results {
-		if w == 0 {
-			if r.ok {
-				t.Fatal("the winning worker adopted its own candidate")
-			}
-			continue
-		}
-		if !r.ok || len(r.adopted) != 1 || r.adopted[0] != 0 {
-			t.Fatalf("worker %d: adopted=%v ok=%v, want worker 0's candidate", w, r.adopted, r.ok)
-		}
+	if res.worker != 1 {
+		t.Fatalf("width 3: winner = worker %d, want 1", res.worker)
 	}
 }

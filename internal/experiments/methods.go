@@ -38,15 +38,17 @@ type RunConfig struct {
 	// from it.
 	Seed int64
 	// Parallelism is the portfolio width for metaheuristics: that many
-	// concurrent workers search from independently derived seeds and
-	// periodically exchange incumbents. Values <= 1 run the plain serial
-	// solver; classical methods always run serially.
+	// concurrent workers search from independently derived seeds and the
+	// best worker's partition wins. Annealing and genetic workers also
+	// exchange incumbents at a step cadence; every other portfolio is
+	// independent restarts. Values <= 1 run the plain serial solver;
+	// classical methods always run serially.
 	Parallelism int
 	// Multilevel runs a metaheuristic inside a multilevel V-cycle (package
 	// vcycle): coarsen by heavy-edge matching, search the coarsest graph,
 	// project up with refinement per level. Under a portfolio each worker
-	// runs its own V-cycle over one shared hierarchy and incumbents are
-	// exchanged at level boundaries. Ignored by methods whose MethodSpec
+	// runs its own V-cycle over one shared hierarchy, independently of the
+	// others, and the best result wins. Ignored by methods whose MethodSpec
 	// does not mark Multilevel support.
 	Multilevel bool
 	// CoarsenTo is the V-cycle's coarsening cutoff in vertices (0 selects
@@ -69,8 +71,9 @@ type RunConfig struct {
 	Island int
 	// Relay, when non-nil, federates the portfolio's incumbent exchange
 	// across islands: each round's local winner is traded with the peers
-	// and every worker receives the fleet-wide winner. Used by the server's
-	// HTTP island transport; nil for single-process runs.
+	// and every worker receives the fleet-wide winner. Only flat annealing
+	// and genetic portfolios exchange; the others never call it. Used by
+	// the server's HTTP island transport; nil for single-process runs.
 	Relay engine.Relay
 	// WarmStart optionally seeds a metaheuristic with a previous assignment
 	// (one part id in [0, k) per vertex): every portfolio worker starts from
@@ -140,15 +143,9 @@ var Methods = []MethodSpec{
 	{ID: "multilevel-bi", Name: "Multilevel (Bi)", Run: runMultilevel(2)},
 	{ID: "multilevel-oct", Name: "Multilevel (Oct)", Run: runMultilevel(8)},
 	{ID: "percolation", Name: "Percolation", Run: runPercolation},
-	// Annealing moves are cheap, so workers exchange on a coarse cadence.
-	{ID: "annealing", Name: "Simulated annealing", Metaheuristic: true, Multilevel: true,
-		Run: metaheuristic{syncEvery: 16_384, solve: annealSolve}.run},
-	// One step is a whole colony iteration: exchange often.
-	{ID: "ant-colony", Name: "Ant colony", Metaheuristic: true, Multilevel: true,
-		Run: metaheuristic{syncEvery: 32, solve: antColonySolve}.run},
-	// Fusion-fission needs a part slot per vertex so atoms can split freely.
-	{ID: "fusion-fission", Name: "Fusion Fission", Metaheuristic: true, Multilevel: true,
-		Run: metaheuristic{syncEvery: 1024, slotPerVertex: true, solve: fusionFissionSolve}.run},
+	{ID: "annealing", Name: "Simulated annealing", Metaheuristic: true, Multilevel: true, Run: annealingMeta.run},
+	{ID: "ant-colony", Name: "Ant colony", Metaheuristic: true, Multilevel: true, Run: antColonyMeta.run},
+	{ID: "fusion-fission", Name: "Fusion Fission", Metaheuristic: true, Multilevel: true, Run: fusionFissionMeta.run},
 }
 
 // ExtensionMethods lists partitioners beyond the paper's Table 1: the
@@ -175,10 +172,24 @@ var ExtensionMethods = []MethodSpec{
 		p, err := multilevel.PartitionKWayContext(ctx, g, k, multilevel.Options{Seed: cfg.Seed})
 		return serial(p), err
 	}},
-	// One step is a whole generation: exchange often.
 	{ID: "genetic", Name: "Genetic algorithm", Metaheuristic: true, Multilevel: true, Memetic: true,
-		Run: metaheuristic{syncEvery: 4, solve: geneticSolve}.run},
+		Run: geneticMeta.run},
 }
+
+// The engine-backed metaheuristics. Flat annealing and GA portfolios trade
+// incumbents at a step cadence because BENCH_exchange.json shows it pays
+// for them; for ant colony and fusion-fission, and inside every V-cycle,
+// adopting a peer's winner never beat the best independent worker, so
+// those portfolios are independent restarts.
+var (
+	// Annealing moves are cheap, so workers exchange on a coarse cadence.
+	annealingMeta = metaheuristic{syncEvery: 16_384, solve: annealSolve}
+	antColonyMeta = metaheuristic{solve: antColonySolve}
+	// Fusion-fission needs a part slot per vertex so atoms can split freely.
+	fusionFissionMeta = metaheuristic{slotPerVertex: true, solve: fusionFissionSolve}
+	// One step is a whole generation: exchange often.
+	geneticMeta = metaheuristic{syncEvery: 4, solve: geneticSolve}
+)
 
 // MethodByID returns the spec with the given id, searching the Table 1 rows
 // first and the extensions second.
@@ -198,7 +209,8 @@ func serial(p *partition.P) RunResult { return RunResult{P: p, Workers: 1} }
 // portfolio runs solve as a cfg.Parallelism-wide engine portfolio (serial
 // for widths <= 1, bit-identical to a direct call) and reduces the workers'
 // outcomes to the deterministic winner under energy. syncEvery is the
-// incumbent-exchange cadence in the solver's own step unit.
+// incumbent-exchange cadence in the solver's own step unit (0: independent
+// restarts).
 func portfolio(ctx context.Context, cfg RunConfig, syncEvery int,
 	energy func(workerOutcome) float64,
 	solve func(ctx context.Context, rt *engine.Runtime, seed int64) (workerOutcome, error),
@@ -224,7 +236,7 @@ type workerOutcome struct {
 // flat portfolio run and its V-cycle run both derive from solve.
 type metaheuristic struct {
 	// syncEvery is the flat portfolio's incumbent-exchange cadence in the
-	// solver's own step unit.
+	// solver's own step unit; 0 makes it independent restarts.
 	syncEvery int
 	// slotPerVertex materializes a warm start with one part slot per
 	// vertex instead of exactly k, for searches whose part count roams.
@@ -264,7 +276,7 @@ func (m metaheuristic) run(ctx context.Context, g *graph.Graph, k int, cfg RunCo
 // runVCycle runs m inside a multilevel V-cycle, as a portfolio when
 // cfg.Parallelism asks for one: the hierarchy is coarsened once from the
 // base seed and shared by every worker, each worker V-cycles independently
-// from its derived seed, and incumbents are exchanged at level boundaries.
+// from its derived seed, and the best worker's partition wins.
 func (m metaheuristic) runVCycle(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
 	if cfg.WarmStart != nil {
 		// The V-cycle's solver runs on the coarsest graph, where a
@@ -287,7 +299,7 @@ func (m metaheuristic) runVCycle(ctx context.Context, g *graph.Graph, k int, cfg
 		}
 	}
 	stats := vcycle.StatsOf(h)
-	res, workers, err := portfolio(ctx, cfg, 0, // boundary exchanges only, no step cadence
+	res, workers, err := portfolio(ctx, cfg, 0,
 		func(o workerOutcome) float64 { return cfg.Objective.Evaluate(o.p) },
 		func(ctx context.Context, rt *engine.Runtime, seed int64) (o workerOutcome, err error) {
 			o.p, o.partial, err = vcycle.Run(ctx, h, k, vcycle.Options{

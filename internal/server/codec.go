@@ -70,10 +70,13 @@ type PartitionRequest struct {
 	// NoCache forces a fresh computation, bypassing the result cache for
 	// both lookup and store.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Federate opts this job into the island fleet: the run trades
-	// incumbents with the server's configured peers at the usual exchange
-	// points, and the result reports the island id and exchange round
-	// count. Requires a server started with peers (400 otherwise). Submit
+	// Federate opts this job into the island fleet, and the result reports
+	// the island id and exchange round count. Flat annealing and genetic
+	// runs trade incumbents with the server's configured peers at their
+	// usual exchange cadence; every other method runs an independent island
+	// search (0 exchange rounds, never waiting on a peer) whose result the
+	// client reduces with the others'. Requires a server started with
+	// peers (400 otherwise). Submit
 	// the identical request to every fleet member — the jobs pair up by
 	// graph content and options; with graph.id they pair by stored graph
 	// id, with no inline graph bytes on the wire at all. Federated jobs

@@ -170,6 +170,34 @@ func TestIslandFleetLoopback(t *testing.T) {
 	}
 }
 
+// TestFederatedNonExchangingMethod: fusion-fission portfolios are
+// independent restarts, so a federated fusion-fission job never calls its
+// relay. Posted to one island of a live fleet, it completes at once with
+// zero exchange rounds instead of waiting on a peer that never got the job.
+func TestFederatedNonExchangingMethod(t *testing.T) {
+	const wait = 20 * time.Second
+	f := newFleet(t, wait)
+	req := federatedRequest()
+	req.Method = "fusion-fission"
+	req.MaxSteps = 300
+	req.Parallelism = 2
+	start := time.Now()
+	code, pr := postURL(t, f.urls[0], req)
+	if code != http.StatusOK {
+		t.Fatalf("code %d (%s)", code, pr.Error)
+	}
+	if elapsed := time.Since(start); elapsed >= wait/2 {
+		t.Fatalf("job took %v: it waited on its peer", elapsed)
+	}
+	res := pr.Result
+	if res == nil || res.Island == nil || *res.Island != 0 {
+		t.Fatalf("result lost its island identity: %+v", res)
+	}
+	if res.ExchangeRounds != 0 {
+		t.Fatalf("exchange_rounds = %d, want 0", res.ExchangeRounds)
+	}
+}
+
 // TestFederateWithoutPeersRejected: a server with no fleet configuration
 // must refuse "federate": true rather than silently running standalone.
 func TestFederateWithoutPeersRejected(t *testing.T) {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	ff "repro"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -95,15 +98,21 @@ type poolStats struct {
 	Completed  int64 `json:"completed"`
 	Failed     int64 `json:"failed"`
 	Cancelled  int64 `json:"cancelled"`
+	// Panicked counts the failed jobs whose solve panicked; each answered
+	// 500 and released its worker slot.
+	Panicked int64 `json:"panicked"`
 }
 
 // pool runs jobs on a fixed set of workers over a bounded queue.
 type pool struct {
-	queue   chan *job
-	cache   *resultCache
-	workers int
-	jobTTL  time.Duration
-	wg      sync.WaitGroup
+	// partition computes one job (ff.PartitionMonitored; tests substitute
+	// a faulty solver).
+	partition func(ctx context.Context, g *graph.Graph, opt ff.Options, mon *ff.Monitor) (*ff.Result, error)
+	queue     chan *job
+	cache     *resultCache
+	workers   int
+	jobTTL    time.Duration
+	wg        sync.WaitGroup
 
 	mu       sync.Mutex
 	closed   bool
@@ -116,12 +125,13 @@ type pool struct {
 
 func newPool(workers, depth int, cache *resultCache, jobTTL time.Duration) *pool {
 	p := &pool{
-		queue:    make(chan *job, depth),
-		cache:    cache,
-		workers:  workers,
-		jobTTL:   jobTTL,
-		jobs:     make(map[string]*job),
-		inflight: make(map[string]*job),
+		partition: ff.PartitionMonitored,
+		queue:     make(chan *job, depth),
+		cache:     cache,
+		workers:   workers,
+		jobTTL:    jobTTL,
+		jobs:      make(map[string]*job),
+		inflight:  make(map[string]*job),
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -256,7 +266,7 @@ func (p *pool) run(j *job) {
 	// the solver on this goroutine and the solver itself observes j.ctx, so
 	// a DELETE or an expired deadline returns control (and this worker
 	// slot) promptly — nothing keeps computing in the background.
-	res, err := ff.PartitionMonitored(j.ctx, j.g, j.opt, j.mon)
+	res, err := p.solve(j)
 	j.cancel()
 	if err != nil {
 		// An explicit DELETE surfaces as context.Canceled; whichever of
@@ -272,6 +282,9 @@ func (p *pool) run(j *job) {
 				p.bump(&p.stats.Cancelled)
 			} else {
 				p.bump(&p.stats.Failed)
+				if errors.Is(err, engine.ErrPanicked) {
+					p.bump(&p.stats.Panicked)
+				}
 			}
 		}
 		return
@@ -288,6 +301,19 @@ func (p *pool) run(j *job) {
 		p.detach(j)
 		p.bump(&p.stats.Completed)
 	}
+}
+
+// solve runs the job's computation and turns a panic anywhere in it into
+// the job's error, so a faulty job costs only itself — never the process
+// and the jobs queued behind it.
+func (p *pool) solve(j *job) (res *ff.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("server: job %s panicked: %v\n%s", j.id, r, debug.Stack())
+			res, err = nil, fmt.Errorf("server: job %s %w: %v", j.id, engine.ErrPanicked, r)
+		}
+	}()
+	return p.partition(j.ctx, j.g, j.opt, j.mon)
 }
 
 func (p *pool) bump(counter *int64) {

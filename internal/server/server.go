@@ -34,6 +34,7 @@ import (
 	"time"
 
 	ff "repro"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -417,8 +418,11 @@ func (s *Server) writeJobOutcome(w http.ResponseWriter, j *job) {
 		writeJSON(w, http.StatusConflict, partitionResponse{JobID: j.id, Status: status, Error: "job cancelled"})
 	default:
 		code := http.StatusUnprocessableEntity
-		if errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
 			code = http.StatusGatewayTimeout
+		case errors.Is(err, engine.ErrPanicked):
+			code = http.StatusInternalServerError
 		}
 		writeJSON(w, code, partitionResponse{JobID: j.id, Status: status, Error: err.Error()})
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,10 +10,12 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	ff "repro"
+	"repro/internal/graph"
 )
 
 // newTestServer spins up the service behind httptest and tears it down with
@@ -528,6 +531,46 @@ func TestHealthz(t *testing.T) {
 	}
 	if got.Status != "ok" || got.Pool.Workers != 3 || got.Cache.Capacity != 256 {
 		t.Fatalf("healthz: %+v", got)
+	}
+}
+
+// TestPanickingJobAnswers500: a job whose computation panics answers 500
+// and counts as panicked, and its worker slot is released — the next
+// request on the same one-worker pool completes normally.
+func TestPanickingJobAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	var calls atomic.Int32
+	// submit takes the pool lock, which orders this write before any job.
+	s.pool.mu.Lock()
+	s.pool.partition = func(ctx context.Context, g *graph.Graph, opt ff.Options, mon *ff.Monitor) (*ff.Result, error) {
+		if calls.Add(1) == 1 {
+			panic("boom")
+		}
+		return ff.PartitionMonitored(ctx, g, opt, mon)
+	}
+	s.pool.mu.Unlock()
+	// NoCache keeps the second request from coalescing onto the first job
+	// in the instant before the pool detaches it.
+	req := baseRequest()
+	req.NoCache = true
+
+	code, pr := post(t, ts, req)
+	if code != http.StatusInternalServerError || pr.Status != statusFailed || !strings.Contains(pr.Error, "panicked: boom") {
+		t.Fatalf("panicking job: code %d, resp %+v", code, pr)
+	}
+	code, pr = post(t, ts, req)
+	if code != http.StatusOK || pr.Status != statusDone || pr.Result == nil {
+		t.Fatalf("request after the panic: code %d, resp %+v", code, pr)
+	}
+	// Counters are bumped just after finish wakes the waiters.
+	deadline := time.Now().Add(5 * time.Second)
+	st := s.pool.snapshot()
+	for (st.Failed != 1 || st.Completed != 1) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = s.pool.snapshot()
+	}
+	if st.Panicked != 1 || st.Failed != 1 || st.Completed != 1 {
+		t.Fatalf("pool stats = %+v", st)
 	}
 }
 

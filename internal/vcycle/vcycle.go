@@ -16,13 +16,14 @@
 // The hierarchy is a coarsen.Hierarchy, built by Build under the cutoff
 // rule coarsen.Cutoff that the memetic recombination uses too.
 //
-// Portfolios compose: each worker of an engine.Portfolio runs its own
-// V-cycle over one shared hierarchy, and workers exchange incumbents at
-// level boundaries (engine.Runtime.Exchange) — the phase transitions where
-// all workers hold partitions of the same graph — rather than at step
-// indices inside the coarsest solve. Step-capped runs visit the same
-// boundaries in the same order on every worker, so a (seed, parallelism,
-// hierarchy) triple is exactly reproducible.
+// Portfolios compose as independent restarts: each worker of an
+// engine.Portfolio runs its own V-cycle over one shared hierarchy and the
+// portfolio keeps the best. Workers never trade incumbents: refine.KWay is
+// deterministic, so a worker that adopted another's partition at a level
+// boundary would only replay that worker's refinement, and
+// BENCH_exchange.json shows such adoption never beat the best independent
+// worker. A step-capped (seed, parallelism, hierarchy) triple is exactly
+// reproducible.
 package vcycle
 
 import (
@@ -81,23 +82,23 @@ func StatsOf(h *coarsen.Hierarchy) Stats {
 
 // CoarseSolve runs one metaheuristic on the coarsest graph of a V-cycle.
 // budget is the wall-clock share the driver grants the solve (0 = no time
-// limit); rt is a monitor-only runtime (engine.Runtime.Solo) the solver
-// should attach to its Loop for live progress, or nil. The returned partial
-// flag is the solver's own record of a context interruption.
+// limit); rt is the worker's runtime the solver should attach to its Loop
+// for live progress, or nil. The returned partial flag is the solver's own
+// record of a context interruption.
 type CoarseSolve func(ctx context.Context, g *graph.Graph, k int, budget time.Duration, rt *engine.Runtime) (*partition.P, bool, error)
 
 // Options configures one V-cycle run.
 type Options struct {
-	// Objective is the criterion refinement improves and boundary exchanges
-	// compare on (default MCut, like everywhere in this repository).
+	// Objective is the criterion refinement improves (default MCut, like
+	// everywhere in this repository).
 	Objective objective.Objective
 	// Budget caps the whole V-cycle's wall-clock time; the coarsest solve
 	// receives solveFraction of it and uncoarsening refinement runs under a
 	// deadline at the full budget. 0 means no time limit (step-capped runs).
 	Budget time.Duration
 	// Runtime optionally attaches the run to an engine portfolio worker
-	// slot: live progress flows from the coarsest solve, and incumbents are
-	// exchanged at level boundaries. Nil for standalone runs.
+	// slot: live progress flows from the coarsest solve and from every
+	// refined level. Nil for standalone runs.
 	Runtime *engine.Runtime
 }
 
@@ -138,21 +139,16 @@ func Run(ctx context.Context, h *coarsen.Hierarchy, k int, opt Options, solve Co
 	}
 	defer cancel()
 
-	cp, _, err := solve(rctx, h.Coarsest(), k, coarseBudget, opt.Runtime.Solo())
+	cp, _, err := solve(rctx, h.Coarsest(), k, coarseBudget, opt.Runtime)
 	if err != nil {
 		return nil, false, err
 	}
 	assign := cp.Compact()
-	energy := opt.Objective.Evaluate(cp)
 
 	// fp is the current level's refined partition; after the li == 0
 	// iteration it is the fine-graph result itself.
 	var fp *partition.P
 	for li := len(h.Levels) - 1; li >= 0; li-- {
-		// Level boundary: trade incumbents with the other portfolio workers
-		// before spending refinement effort — a strictly better partition of
-		// the same graph found elsewhere is a strictly better starting point.
-		assign, energy = exchange(opt.Runtime, assign, energy)
 		assign = h.Levels[li].Project(assign)
 
 		fp, err = partition.FromAssignment(h.GraphAt(li), assign, k)
@@ -166,9 +162,8 @@ func Run(ctx context.Context, h *coarsen.Hierarchy, k int, opt Options, solve Co
 			Ctx:       rctx,
 		})
 		assign = fp.Assignment()
-		energy = opt.Objective.Evaluate(fp)
 		if rt := opt.Runtime; rt != nil && rt.Monitor != nil {
-			rt.Monitor.Offer(energy, func() []int32 { return fp.Compact() })
+			rt.Monitor.Offer(opt.Objective.Evaluate(fp), func() []int32 { return fp.Compact() })
 		}
 	}
 
@@ -178,22 +173,4 @@ func Run(ctx context.Context, h *coarsen.Hierarchy, k int, opt Options, solve Co
 		}
 	}
 	return fp, ctx.Err() != nil, nil
-}
-
-// exchange deposits the worker's current (assignment, energy) and adopts the
-// round winner if it strictly improves the objective, returning the possibly
-// updated pair. Winners are commensurate because every worker reaches this
-// boundary holding a partition of the same graph under the same objective.
-// The length guard skips winners deposited for a different level by a worker
-// that left its final slot behind — reachable only through an internal
-// invariant break, since a V-cycle worker cannot fail after its first
-// deposit; if it ever happens, the round degrades to no adoption (exchanger
-// slots persist by design for the flat step-cadence path) and every worker
-// simply keeps its own partition.
-func exchange(rt *engine.Runtime, assign []int32, energy float64) ([]int32, float64) {
-	foreign, fe, ok := rt.Exchange(energy, func() []int32 { return assign })
-	if ok && len(foreign) == len(assign) {
-		return foreign, fe
-	}
-	return assign, energy
 }
