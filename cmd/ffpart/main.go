@@ -115,7 +115,7 @@ func main() {
 		K: *k, Method: *method, Objective: *obj,
 		Seed: *seed, Budget: *budget, MaxSteps: *steps,
 		Parallelism: parallelism,
-		Multilevel: *multi, CoarsenTo: *coarsenTo,
+		Multilevel:  *multi, CoarsenTo: *coarsenTo,
 		Relayout: *relayout,
 
 		MemeticCrossover: *memetic,

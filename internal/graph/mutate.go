@@ -30,6 +30,14 @@ type EdgeEdit struct {
 //
 // Duplicate edits to the same edge apply in order against the running state
 // (remove then add is a legal replace; add then add is an error).
+//
+// The result is spliced from g's CSR arrays, not rebuilt: the edits reduce
+// to net changes sorted by (u, v), untouched edges and adjacency rows are
+// block-copied with their edge ids renumbered, and only the rows of edited
+// edges are merged arc by arc. A batch of E edits costs O(n + m) copying
+// plus O(E log E); vertex weights are shared with g. The result is
+// bit-identical to adding the edited edge set to a Builder — same edge ids,
+// adjacency order, weighted degrees and totals, hence the same Digest.
 func (g *Graph) WithEdits(edits []EdgeEdit) (*Graph, error) {
 	n := g.NumVertices()
 	type key struct{ u, v int32 }
@@ -87,46 +95,195 @@ func (g *Graph) WithEdits(edits []EdgeEdit) (*Graph, error) {
 		edited[k] = w
 	}
 
-	// Freshly added edges, sorted so they merge into the (u, v)-ordered
-	// ForEachEdge stream below and Build finds its input already in order.
-	var added []key
+	// Net changes in (u, v) order, each placed in g's (u, v)-ordered edge
+	// list. An edge added and removed again within the batch nets out.
+	changes := make([]edgeChange, 0, len(edited))
 	for k, w := range edited {
-		if _, ok := g.EdgeWeight(int(k.u), int(k.v)); w > 0 && !ok {
-			added = append(added, k)
+		at, old := g.edgeIndex(k.u, k.v)
+		if old || w > 0 {
+			changes = append(changes, edgeChange{u: k.u, v: k.v, w: w, at: int32(at), old: old})
 		}
 	}
-	slices.SortFunc(added, func(a, b key) int {
+	slices.SortFunc(changes, func(a, b edgeChange) int {
 		if c := cmp.Compare(a.u, b.u); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.v, b.v)
 	})
+	return g.splice(changes), nil
+}
 
-	b := NewBuilder(n)
-	b.Reserve(g.NumEdges() + len(added))
+// edgeChange is the net edit of one edge {u, v}, u < v. w is its new
+// weight, 0 when it is removed. at is its index in the source graph's
+// (u, v)-ordered edge list, or for an added edge the index of the first
+// edge ordered after it; old says the edge is in the source. splice sets id
+// to the edge's id in the result, -1 when it is removed.
+type edgeChange struct {
+	u, v int32
+	w    float64
+	at   int32
+	id   int32
+	old  bool
+}
+
+// edgeIndex binary-searches the (u, v)-ordered edge list for {u, v},
+// u < v, returning the index of the first edge not ordered before it and
+// whether that edge is {u, v}.
+func (g *Graph) edgeIndex(u, v int32) (int, bool) {
+	lo, hi := 0, len(g.eu)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if g.eu[h] < u || (g.eu[h] == u && g.ev[h] < v) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(g.eu) && g.eu[lo] == u && g.ev[lo] == v
+}
+
+// splice derives the graph with changes (net, sorted by (u, v)) applied,
+// writing every array exactly as Build would for the edited edge set: edge
+// ids in (u, v) order, rows in ascending neighbor order, weighted degrees
+// summed in adjacency order, totals summed in array order.
+func (g *Graph) splice(changes []edgeChange) *Graph {
+	n, m := g.NumVertices(), g.NumEdges()
+	r := &Graph{xadj: make([]int32, n+1), vwgt: g.vwgt, wdeg: make([]float64, n)}
+	if r.vwgt == nil {
+		r.vwgt = []float64{} // an empty aliased section decodes as nil; Build's is empty
+	}
+	newM := m
+	for _, c := range changes {
+		d := int32(0)
+		switch {
+		case !c.old:
+			d = 1
+		case c.w == 0:
+			d = -1
+		}
+		newM += int(d)
+		r.xadj[c.u+1] += d
+		r.xadj[c.v+1] += d
+	}
 	for v := 0; v < n; v++ {
-		if w := g.VertexWeight(v); w != 1 {
-			b.SetVertexWeight(v, w)
+		r.xadj[v+1] += r.xadj[v] + g.xadj[v+1] - g.xadj[v]
+	}
+	r.adjncy = make([]int32, 2*newM)
+	r.adjwgt = make([]float64, 2*newM)
+	r.arcEID = make([]int32, 2*newM)
+	r.eu = make([]int32, newM)
+	r.ev = make([]int32, newM)
+	r.ewgt = make([]float64, newM)
+
+	// Edge list: runs of unchanged edges are copied between the changes,
+	// and remap records where each unchanged edge lands.
+	remap := make([]int32, m)
+	ne, next := 0, 0 // next new edge id; first source edge not yet placed
+	keep := func(to int) {
+		copy(r.eu[ne:], g.eu[next:to])
+		copy(r.ev[ne:], g.ev[next:to])
+		copy(r.ewgt[ne:], g.ewgt[next:to])
+		for e := next; e < to; e++ {
+			remap[e] = int32(ne + e - next)
 		}
-		if w := g.VertexLoop(v); w > 0 {
-			b.AddSelfLoop(v, w)
+		ne += to - next
+		next = to
+	}
+	for i := range changes {
+		c := &changes[i]
+		keep(int(c.at))
+		if c.old {
+			next++
+		}
+		c.id = -1
+		if c.w > 0 {
+			c.id = int32(ne)
+			r.eu[ne], r.ev[ne], r.ewgt[ne] = c.u, c.v, c.w
+			ne++
 		}
 	}
-	g.ForEachEdge(func(u, v int, w float64) {
-		for len(added) > 0 && (int(added[0].u) < u || (int(added[0].u) == u && int(added[0].v) < v)) {
-			b.AddEdge(int(added[0].u), int(added[0].v), edited[added[0]])
-			added = added[1:]
+	keep(m)
+
+	// Adjacency: each change touches one arc in each endpoint's row. Runs
+	// of untouched rows are copied whole; a touched row merges its sorted
+	// source arcs with its sorted arc changes.
+	type arcChange struct{ row, nbr, c int32 }
+	arcs := make([]arcChange, 0, 2*len(changes))
+	for i, c := range changes {
+		arcs = append(arcs, arcChange{c.u, c.v, int32(i)}, arcChange{c.v, c.u, int32(i)})
+	}
+	slices.SortFunc(arcs, func(a, b arcChange) int {
+		if c := cmp.Compare(a.row, b.row); c != 0 {
+			return c
 		}
-		if ew, ok := edited[key{int32(u), int32(v)}]; ok {
-			if ew > 0 {
-				b.AddEdge(u, v, ew)
-			}
-			return
-		}
-		b.AddEdge(u, v, w)
+		return cmp.Compare(a.nbr, b.nbr)
 	})
-	for _, k := range added {
-		b.AddEdge(int(k.u), int(k.v), edited[k])
+	row := 0 // first row not yet written
+	keepArcs := func(lo, hi, out int32) {
+		copy(r.adjncy[out:], g.adjncy[lo:hi])
+		copy(r.adjwgt[out:], g.adjwgt[lo:hi])
+		for i, e := range g.arcEID[lo:hi] {
+			r.arcEID[out+int32(i)] = remap[e]
+		}
 	}
-	return b.Build()
+	keepRows := func(to int) {
+		keepArcs(g.xadj[row], g.xadj[to], r.xadj[row])
+		copy(r.wdeg[row:to], g.wdeg[row:to])
+		row = to
+	}
+	for i := 0; i < len(arcs); {
+		x := arcs[i].row
+		keepRows(int(x))
+		src, end, out := g.xadj[x], g.xadj[x+1], r.xadj[x]
+		for ; i < len(arcs) && arcs[i].row == x; i++ {
+			a := arcs[i]
+			c := changes[a.c]
+			s := src
+			for s < end && g.adjncy[s] < a.nbr {
+				s++
+			}
+			keepArcs(src, s, out)
+			out += s - src
+			src = s
+			if c.old {
+				src++ // the edited edge's source arc
+			}
+			if c.id >= 0 {
+				r.adjncy[out], r.adjwgt[out], r.arcEID[out] = a.nbr, c.w, c.id
+				out++
+			}
+		}
+		keepArcs(src, end, out)
+		d := 0.0
+		for _, w := range r.adjwgt[r.xadj[x]:r.xadj[x+1]] {
+			d += w
+		}
+		r.wdeg[x] = d
+		row = int(x) + 1
+	}
+	keepRows(n)
+
+	// Self-loops and totals exactly as Build derives them from a Builder
+	// fed g's positive loop weights.
+	for v, w := range g.lwgt {
+		if w > 0 {
+			if r.lwgt == nil {
+				r.lwgt = make([]float64, n)
+			}
+			r.lwgt[v] = w
+		}
+	}
+	r.unitEW, r.unitVW = true, true
+	for _, w := range r.ewgt {
+		r.totW += w
+		r.unitEW = r.unitEW && w == 1
+	}
+	for _, w := range r.vwgt {
+		r.totVW += w
+		r.unitVW = r.unitVW && w == 1
+	}
+	for _, w := range r.lwgt {
+		r.totLW += w
+	}
+	return r
 }

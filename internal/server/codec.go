@@ -88,8 +88,9 @@ type PartitionRequest struct {
 	// repairs the assignment locally and the solver starts from it instead
 	// of solving cold, and the result is never worse than the repaired
 	// seed. Metaheuristics only. Typically combined with graph.id after a
-	// POST /v1/graphs/{id}/mutate.
-	WarmStart []int32 `json:"warm_start,omitempty"`
+	// POST /v1/graphs/{id}/mutate. A Labels decodes like []int32, scanning
+	// the plain array of integers without reflection.
+	WarmStart Labels `json:"warm_start,omitempty"`
 }
 
 // GraphSpec names the graph to partition in one of three ways: inline

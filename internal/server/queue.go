@@ -69,25 +69,6 @@ func (j *job) snapshot() (jobStatus, *ff.Result, error, int) {
 	return j.status, j.result, j.err, j.coalesced
 }
 
-// finish records the outcome and wakes all waiters. Only the first call
-// takes effect.
-func (j *job) finish(status jobStatus, res *ff.Result, err error) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status == statusDone || j.status == statusFailed || j.status == statusCancelled {
-		return false
-	}
-	j.status = status
-	j.result = res
-	j.err = err
-	j.finishedAt = time.Now()
-	close(j.done)
-	if j.hub != nil {
-		j.hub.finish(j.fedKey)
-	}
-	return true
-}
-
 // poolStats is the counters snapshot reported by /healthz.
 type poolStats struct {
 	Workers    int   `json:"workers"`
@@ -216,27 +197,52 @@ func (p *pool) cancelJob(id string) (cancelled, found bool) {
 		return false, false
 	}
 	j.cancel()
-	if j.finish(statusCancelled, nil, context.Canceled) {
-		p.detach(j)
-		p.mu.Lock()
-		p.stats.Cancelled++
-		p.mu.Unlock()
+	if p.finish(j, statusCancelled, nil, context.Canceled) {
 		return true, true
 	}
 	status, _, _, _ := j.snapshot()
 	return status == statusCancelled, true
 }
 
-// detach removes a finished job from the coalescing index.
-func (p *pool) detach(j *job) {
-	if j.coKey == "" {
-		return
+// finish records a job's outcome, takes the job out of the coalescing
+// index and counts it, and only then wakes its waiters: a client that
+// repeats the request as soon as it has the reply starts a fresh job
+// instead of reading this one's outcome, and /healthz already counts it.
+// Only the first call takes effect.
+func (p *pool) finish(j *job, status jobStatus, res *ff.Result, err error) bool {
+	j.mu.Lock()
+	if j.status == statusDone || j.status == statusFailed || j.status == statusCancelled {
+		j.mu.Unlock()
+		return false
 	}
+	j.status = status
+	j.result = res
+	j.err = err
+	j.finishedAt = time.Now()
+	j.mu.Unlock()
+
 	p.mu.Lock()
-	if p.inflight[j.coKey] == j {
+	if j.coKey != "" && p.inflight[j.coKey] == j {
 		delete(p.inflight, j.coKey)
 	}
+	switch status {
+	case statusDone:
+		p.stats.Completed++
+	case statusCancelled:
+		p.stats.Cancelled++
+	default:
+		p.stats.Failed++
+		if errors.Is(err, engine.ErrPanicked) {
+			p.stats.Panicked++
+		}
+	}
 	p.mu.Unlock()
+
+	close(j.done)
+	if j.hub != nil {
+		j.hub.finish(j.fedKey)
+	}
+	return true
 }
 
 func (p *pool) worker() {
@@ -254,9 +260,7 @@ func (p *pool) run(j *job) {
 	}
 	if err := j.ctx.Err(); err != nil {
 		j.mu.Unlock()
-		j.finish(statusFailed, nil, fmt.Errorf("server: job expired in queue: %w", err))
-		p.detach(j)
-		p.bump(&p.stats.Failed)
+		p.finish(j, statusFailed, nil, fmt.Errorf("server: job expired in queue: %w", err))
 		return
 	}
 	j.status = statusRunning
@@ -276,17 +280,7 @@ func (p *pool) run(j *job) {
 		if errors.Is(err, context.Canceled) {
 			status = statusCancelled
 		}
-		if j.finish(status, nil, err) {
-			p.detach(j)
-			if status == statusCancelled {
-				p.bump(&p.stats.Cancelled)
-			} else {
-				p.bump(&p.stats.Failed)
-				if errors.Is(err, engine.ErrPanicked) {
-					p.bump(&p.stats.Panicked)
-				}
-			}
-		}
+		p.finish(j, status, nil, err)
 		return
 	}
 	// A metaheuristic interrupted by the deadline returns its best
@@ -297,10 +291,7 @@ func (p *pool) run(j *job) {
 	if j.key != "" && !res.Cancelled {
 		p.cache.add(j.key, res)
 	}
-	if j.finish(statusDone, res, nil) {
-		p.detach(j)
-		p.bump(&p.stats.Completed)
-	}
+	p.finish(j, statusDone, res, nil)
 }
 
 // solve runs the job's computation and turns a panic anywhere in it into
@@ -314,12 +305,6 @@ func (p *pool) solve(j *job) (res *ff.Result, err error) {
 		}
 	}()
 	return p.partition(j.ctx, j.g, j.opt, j.mon)
-}
-
-func (p *pool) bump(counter *int64) {
-	p.mu.Lock()
-	*counter++
-	p.mu.Unlock()
 }
 
 // gcLocked drops finished jobs older than jobTTL. The full-map sweep is

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -535,8 +536,9 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestPanickingJobAnswers500: a job whose computation panics answers 500
-// and counts as panicked, and its worker slot is released — the next
-// request on the same one-worker pool completes normally.
+// and counts as panicked, and its worker slot is released — the identical
+// request repeated on the same one-worker pool runs afresh and completes
+// normally. The counters are bumped before each reply is written.
 func TestPanickingJobAnswers500(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
 	var calls atomic.Int32
@@ -549,10 +551,7 @@ func TestPanickingJobAnswers500(t *testing.T) {
 		return ff.PartitionMonitored(ctx, g, opt, mon)
 	}
 	s.pool.mu.Unlock()
-	// NoCache keeps the second request from coalescing onto the first job
-	// in the instant before the pool detaches it.
 	req := baseRequest()
-	req.NoCache = true
 
 	code, pr := post(t, ts, req)
 	if code != http.StatusInternalServerError || pr.Status != statusFailed || !strings.Contains(pr.Error, "panicked: boom") {
@@ -562,14 +561,46 @@ func TestPanickingJobAnswers500(t *testing.T) {
 	if code != http.StatusOK || pr.Status != statusDone || pr.Result == nil {
 		t.Fatalf("request after the panic: code %d, resp %+v", code, pr)
 	}
-	// Counters are bumped just after finish wakes the waiters.
-	deadline := time.Now().Add(5 * time.Second)
-	st := s.pool.snapshot()
-	for (st.Failed != 1 || st.Completed != 1) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		st = s.pool.snapshot()
+	if st := s.pool.snapshot(); st.Panicked != 1 || st.Failed != 1 || st.Completed != 1 {
+		t.Fatalf("pool stats = %+v", st)
 	}
-	if st.Panicked != 1 || st.Failed != 1 || st.Completed != 1 {
+}
+
+// TestRepeatAfterFailureRunsFresh: the identical request sent as soon as a
+// failed reply arrives must not coalesce onto the finished job — it gets a
+// new job id and a fresh run — and /healthz already counts the failure when
+// the failed reply is read.
+func TestRepeatAfterFailureRunsFresh(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	var calls atomic.Int32
+	s.pool.mu.Lock()
+	s.pool.partition = func(ctx context.Context, g *graph.Graph, opt ff.Options, mon *ff.Monitor) (*ff.Result, error) {
+		if calls.Add(1) == 1 {
+			return nil, errors.New("solver failed")
+		}
+		return ff.PartitionMonitored(ctx, g, opt, mon)
+	}
+	s.pool.mu.Unlock()
+	req := baseRequest()
+
+	code, first := post(t, ts, req)
+	if code != http.StatusUnprocessableEntity || first.Status != statusFailed || first.Error != "solver failed" {
+		t.Fatalf("failing job: code %d, resp %+v", code, first)
+	}
+	var health struct {
+		Pool poolStats `json:"pool"`
+	}
+	if getJSON(t, ts.URL+"/healthz", &health); health.Pool.Failed != 1 || health.Pool.Completed != 0 {
+		t.Fatalf("healthz after the failed reply: %+v", health.Pool)
+	}
+	code, second := post(t, ts, req)
+	if code != http.StatusOK || second.Status != statusDone || second.Result == nil {
+		t.Fatalf("repeat after the failure: code %d, resp %+v", code, second)
+	}
+	if second.JobID == first.JobID || calls.Load() != 2 {
+		t.Fatalf("repeat reused job %s (%d runs)", second.JobID, calls.Load())
+	}
+	if st := s.pool.snapshot(); st.Submitted != 2 || st.Coalesced != 0 || st.Failed != 1 || st.Completed != 1 {
 		t.Fatalf("pool stats = %+v", st)
 	}
 }
