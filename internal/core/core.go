@@ -44,7 +44,8 @@ type Options struct {
 	Budget time.Duration
 	// Seed drives all randomness.
 	Seed int64
-	// Initial optionally replaces the Algorithm 2 initialization.
+	// Initial optionally replaces the Algorithm 2 initialization. It must
+	// assign every vertex and have at least one part slot per vertex.
 	Initial *partition.P
 	// Runtime optionally attaches the run to a portfolio worker slot and
 	// the live-progress monitor. The search never adopts another worker's
@@ -142,7 +143,11 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		if opt.Initial.Capacity() < n {
 			return nil, fmt.Errorf("core: initial partition needs capacity n=%d for atoms to split freely", n)
 		}
+		if !opt.Initial.Complete() {
+			return nil, fmt.Errorf("core: initial partition must assign every vertex")
+		}
 		s.cur = opt.Initial.Clone()
+		s.mem.resync(s.cur)
 	} else if !s.initialize(ctx) { // Algorithm 2
 		// Cancelled before the molecule condensed near K atoms: there is no
 		// meaningful best-so-far, and normalizing a half-initialized
@@ -203,8 +208,8 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			// partition, reheated.
 			s.relaxAll()
 			s.afterEvent(loop)
-			s.cur.CopyFrom(s.bestOverall)
-			prevE = s.energy.energy(s.cur)
+			s.reset(s.bestOverall)
+			prevE = s.energy.energy(s.cur, s.mem.live)
 			t = tMax
 		}
 	}
@@ -212,7 +217,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	if s.bestAtK == nil {
 		// The search never visited exactly K atoms (tiny budgets): force
 		// the best overall partition to K parts and take that.
-		s.cur.CopyFrom(s.bestOverall)
+		s.reset(s.bestOverall)
 		s.normalizeToK()
 		s.afterEvent(loop)
 	}

@@ -271,6 +271,11 @@ func TestCoreErrors(t *testing.T) {
 	if _, err := Partition(g, 7, Options{}); err == nil {
 		t.Fatal("k>n accepted")
 	}
+	partial := partition.New(g, g.NumVertices())
+	partial.Assign(0, 0)
+	if _, err := Partition(g, 2, Options{Initial: partial}); err == nil {
+		t.Fatal("an initial partition that leaves vertices unassigned accepted")
+	}
 }
 
 func TestTraceMonotoneAndAtK(t *testing.T) {

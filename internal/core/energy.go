@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/partition"
@@ -18,14 +20,17 @@ import (
 // 1, so energies there are the raw objective values reported in Table 1.
 //
 // The model is a thin binding-energy wrapper over the shared scoring layer
-// (internal/score): whole-molecule energies delegate to the smoothed
-// objective, per-move deltas to score.Delta. The event loop evaluates the
-// whole molecule once per event: both() takes the scaled energy and the
-// raw objective from one pass over the parts, and the next event's
-// "before" energy reuses that value. Measured on the airspace instance,
-// the pass is about 3% of the solve, so keeping per-part terms current
-// through every fission and merge (a bound score.Tracker) would buy little,
-// and it would change the summation order the pinned trajectories depend on.
+// (internal/score): whole-molecule energies sum objective.Term over the
+// live atoms, per-move deltas come from score.Conns. The event loop
+// evaluates the whole molecule once per event: both() takes the scaled
+// energy and the raw objective from one pass over the live atoms, and the
+// next event's "before" energy reuses that value. The pass visits the live
+// slots in ascending order, the order objective.Evaluate sums its parts
+// in, so the energies are bit-identical to a full evaluation; it costs
+// O(atoms) plus one bitset word per 64 slots, not O(slots). Keeping per-part
+// terms current through every fission and merge (a bound score.Tracker)
+// would change that summation order, which the pinned trajectories depend
+// on.
 
 type energyModel struct {
 	obj    objective.Objective
@@ -56,16 +61,34 @@ func (e *energyModel) penalty(numAtoms int) float64 {
 	return 1 + e.cAbove*rel
 }
 
-// energy returns the scaled objective of p.
-func (e *energyModel) energy(p *partition.P) float64 {
-	return e.obj.EvaluateSmoothed(p, e.eps) * e.penalty(p.NumParts())
+// energy returns the scaled objective of p, whose non-empty slots are the
+// set bits of live.
+func (e *energyModel) energy(p *partition.P, live []uint64) float64 {
+	smoothed, _ := e.sum(p, live, false)
+	return smoothed * e.penalty(p.NumParts())
 }
 
 // both returns the scaled energy and the raw objective of p from one pass
-// over its parts, bit-identical to energy(p) and raw(p).
-func (e *energyModel) both(p *partition.P) (energy, raw float64) {
-	smoothed, raw := e.obj.EvaluateBoth(p, e.eps)
+// over its live slots, bit-identical to energy(p, live) and raw(p).
+func (e *energyModel) both(p *partition.P, live []uint64) (energy, raw float64) {
+	smoothed, raw := e.sum(p, live, true)
 	return smoothed * e.penalty(p.NumParts()), raw
+}
+
+// sum adds the smoothed (and, when withRaw, the exact) terms of the live
+// slots in ascending slot order.
+func (e *energyModel) sum(p *partition.P, live []uint64, withRaw bool) (smoothed, raw float64) {
+	for w, word := range live {
+		for ; word != 0; word &= word - 1 {
+			a := w<<6 + bits.TrailingZeros64(word)
+			cut, in := p.PartCut(a), p.PartInternalOrdered(a)
+			smoothed += e.obj.Term(cut, in, e.eps)
+			if withRaw {
+				raw += e.obj.Term(cut, in, 0)
+			}
+		}
+	}
+	return smoothed, raw
 }
 
 // raw returns the unscaled, unsmoothed objective (for reporting).
@@ -73,10 +96,10 @@ func (e *energyModel) raw(p *partition.P) float64 {
 	return e.obj.Evaluate(p)
 }
 
-// moveDelta returns the change of the scaled energy if vertex v moved from
-// part a to part b, in O(deg v), without mutating p. Both parts must be
-// non-empty and the move must not empty a (the part count, and hence the
-// binding-energy penalty, stays constant).
-func (e *energyModel) moveDelta(p *partition.P, v, a, b int) float64 {
-	return score.Delta(p, e.obj, e.eps, v, a, b) * e.penalty(p.NumParts())
+// moveDelta returns the change of the scaled energy if the vertex c last
+// gathered moved from its part `from` to part `to`, in O(1), without
+// mutating p. The move must not empty `from` (the part count, and hence
+// the binding-energy penalty, stays constant).
+func (e *energyModel) moveDelta(p *partition.P, c *score.Conns, from, to int) float64 {
+	return c.Delta(p, e.obj, e.eps, from, to) * e.penalty(p.NumParts())
 }

@@ -9,11 +9,13 @@ import (
 	"repro/internal/objective"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/score"
 )
 
-// Property: moveDelta (the O(deg) incremental evaluation used by nucleon
-// relaxation) agrees with the difference of full smoothed evaluations, for
-// every objective, on random graphs, partitions and moves.
+// Property: moveDelta (the O(1) incremental evaluation nucleon relaxation
+// uses after one gather) agrees with the difference of full smoothed
+// evaluations, for every objective, on random graphs, partitions and moves,
+// and the live-set energy is the full evaluation bit for bit.
 func TestMoveDeltaMatchesFullEvaluation(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rng.New(seed)
@@ -28,8 +30,18 @@ func TestMoveDeltaMatchesFullEvaluation(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		mem := newMembership(n, n)
+		var c score.Conns
 		for _, obj := range objective.All {
 			e := newEnergyModel(g, obj, k)
+			energy := func() float64 {
+				mem.resync(p)
+				got := e.energy(p, mem.live)
+				if want := obj.EvaluateSmoothed(p, e.eps) * e.penalty(p.NumParts()); got != want {
+					t.Fatalf("live-set energy %v, full evaluation %v", got, want)
+				}
+				return got
+			}
 			for trial := 0; trial < 25; trial++ {
 				v := r.Intn(n)
 				a := p.Part(v)
@@ -46,10 +58,11 @@ func TestMoveDeltaMatchesFullEvaluation(t *testing.T) {
 				if b < 0 {
 					continue
 				}
-				before := e.energy(p)
-				delta := e.moveDelta(p, v, a, b)
+				before := energy()
+				c.Gather(p, v)
+				delta := e.moveDelta(p, &c, a, b)
 				p.Move(v, b)
-				after := e.energy(p)
+				after := energy()
 				p.Move(v, a)
 				want := after - before
 				// The full-evaluation difference cancels two large sums

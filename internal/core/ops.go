@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/partition"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // Structural operators of the fusion-fission method: atom selection, fusion
 // partner choice (by size, distance and temperature), percolation fission,
@@ -13,22 +10,11 @@ import (
 
 // chooseAtom returns a uniformly random non-empty part id, or -1.
 func (s *search) chooseAtom() int {
-	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
-	if len(s.parts) == 0 {
+	n := s.cur.NumParts()
+	if n == 0 {
 		return -1
 	}
-	return s.parts[s.r.Intn(len(s.parts))]
-}
-
-// nextStamp opens a fresh seen-set over part ids: a part b is in the set
-// once mark[b] equals the returned stamp.
-func (s *search) nextStamp() uint32 {
-	s.stamp++
-	if s.stamp == 0 { // wrapped: old marks could collide, so clear them
-		clear(s.mark)
-		s.stamp = 1
-	}
-	return s.stamp
+	return s.mem.nthLive(s.r.Intn(n))
 }
 
 // choosePartner picks the atom to fuse with `atom`. The paper selects it
@@ -42,7 +28,8 @@ func (s *search) nextStamp() uint32 {
 // drawn in ascending part order, so the draw is deterministic by seed.
 func (s *search) choosePartner(atom int, tFrac float64) int {
 	p := s.cur
-	conn := s.conn.Of(p, atom)
+	s.members = s.mem.appendMembers(s.members[:0], atom)
+	conn := s.conn.Of(p, s.members)
 	if len(conn) == 0 {
 		return -1
 	}
@@ -67,7 +54,7 @@ func (s *search) choosePartner(atom int, tFrac float64) int {
 
 // fuse merges partner into atom and returns the merged part id.
 func (s *search) fuse(atom, partner int) int {
-	s.cur.MergeParts(atom, partner)
+	s.merge(atom, partner)
 	return atom
 }
 
@@ -78,13 +65,12 @@ func (s *search) fuse(atom, partner int) int {
 // -1 if the atom cannot be split. With DisablePercolationFission (ablation)
 // the split is a random one.
 func (s *search) fissionSplit(atom int) int {
-	p := s.cur
-	members := p.AppendVerticesOf(s.members[:0], atom)
+	members := s.mem.appendMembers(s.members[:0], atom)
 	s.members = members
 	if len(members) < 2 {
 		return -1
 	}
-	slot := p.EmptySlot()
+	slot := s.mem.lowestEmpty()
 	if slot < 0 {
 		return -1
 	}
@@ -97,25 +83,8 @@ func (s *search) fissionSplit(atom int) int {
 	} else {
 		side = s.splitter.Split(members, s.r.Intn(len(members)))
 	}
-	moved := 0
-	for i, v := range members {
-		if side[i] == 1 {
-			p.Move(int(v), slot)
-			moved++
-		}
-	}
-	if moved == 0 || moved == len(members) {
-		// Degenerate split: force one vertex across so both halves exist.
-		p.Move(int(members[0]), pickSide(moved, atom, slot))
-	}
+	s.splitOff(atom, slot, members, side)
 	return slot
-}
-
-func pickSide(moved, atom, slot int) int {
-	if moved == 0 {
-		return slot
-	}
-	return atom
 }
 
 // selectEjections returns up to j vertices of the atom that are the most
@@ -127,7 +96,7 @@ func pickSide(moved, atom, slot int) int {
 // call.
 func (s *search) selectEjections(atom, j int) []int {
 	p := s.cur
-	members := p.AppendVerticesOf(s.members[:0], atom)
+	members := s.mem.appendMembers(s.members[:0], atom)
 	s.members = members
 	if j <= 0 || len(members) <= 1 {
 		return nil
@@ -186,20 +155,16 @@ func (a ejectCand) looserThan(b ejectCand) bool {
 // the receiving part id.
 func (s *search) nfusion(v int, exclude int) int {
 	p := s.cur
-	g := s.g
+	own := p.Part(v)
 	bestPart, bestW := -1, 0.0
-	stamp := s.nextStamp()
 	cands := s.cands[:0]
-	for _, u := range g.Neighbors(v) {
-		b := p.Part(int(u))
-		if b == partition.Unassigned || b == p.Part(v) || s.mark[b] == stamp {
-			continue
+	for _, b := range s.nbr.Gather(p, v) {
+		if b != own {
+			cands = append(cands, b)
 		}
-		s.mark[b] = stamp
-		cands = append(cands, b)
 	}
 	s.cands = cands
-	vw := g.VertexWeight(v)
+	vw := s.g.VertexWeight(v)
 	for _, b := range cands {
 		if b == exclude && len(cands) > 1 {
 			continue
@@ -211,8 +176,8 @@ func (s *search) nfusion(v int, exclude int) int {
 			bestPart, bestW = b, w
 		}
 	}
-	if bestPart >= 0 && p.PartSize(p.Part(v)) > 1 {
-		p.Move(v, bestPart)
+	if bestPart >= 0 && p.PartSize(own) > 1 {
+		s.move(v, bestPart)
 	}
 	return p.Part(v)
 }
@@ -223,13 +188,10 @@ func (s *search) strongestOtherAtom(v int) int {
 	p := s.cur
 	own := p.Part(v)
 	best, bestW := -1, 0.0
-	stamp := s.nextStamp()
-	for _, u := range s.g.Neighbors(v) {
-		b := p.Part(int(u))
-		if b == partition.Unassigned || b == own || s.mark[b] == stamp {
+	for _, b := range s.nbr.Gather(p, v) {
+		if b == own {
 			continue
 		}
-		s.mark[b] = stamp
 		if w := p.ConnectionToPart(v, b); w > bestW {
 			best, bestW = b, w
 		}

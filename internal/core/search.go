@@ -12,9 +12,15 @@ import (
 	"repro/internal/partition"
 	"repro/internal/percolation"
 	"repro/internal/rng"
+	"repro/internal/score"
 )
 
-// search carries the mutable state of one fusion-fission run.
+// search carries the mutable state of one fusion-fission run. newSearch
+// allocates it once, in O(n + slots) memory; the few scratch slices it
+// leaves empty grow to their need in the first events. The membership
+// index, not a scan, says which vertices an atom holds and which atoms are
+// live, so an event costs time in the size of the atoms it touches, not in
+// n or in the slot count.
 type search struct {
 	g    *graph.Graph
 	k    int
@@ -24,6 +30,10 @@ type search struct {
 
 	energy *energyModel
 	cur    *partition.P
+	// mem indexes cur by atom (membership.go). Every mutation of cur goes
+	// through the search's move, merge, splitOff and reset wrappers, which
+	// keep it current, so no event scans all n vertices or slots.
+	mem membership
 	// maxPartVW softly caps vertex-level flows into any single atom so
 	// that size-insensitive objectives (Cut) cannot grow one giant part;
 	// the sets must stay "of roughly equal size" (section 1).
@@ -36,19 +46,18 @@ type search struct {
 	bestAtKSnap  func() []int32 // bestAtK.Compact, bound once
 	bestPerK     map[int]float64
 
-	// Scratch reused by every event, so the loop allocates nothing.
+	// Scratch reused by every event; once grown, the loop allocates nothing.
 	splitter *percolation.Splitter
 	members  []int32               // vertices of the atom being operated on
-	parts    []int                 // non-empty part ids
-	mark     []uint32              // per-part seen-set stamps (see nextStamp)
-	stamp    uint32                // the current seen-set's stamp
+	parts    []int                 // non-empty part ids (normalizeToK)
+	nbr      score.Conns           // a nucleon's neighbouring atoms and weights
 	conn     partition.Connections // parts an atom touches, with weights
 	ids      []int                 // fusion partner candidates
 	weights  []float64             // and their draw weights
 	cands    []int                 // nfusion candidate atoms
 	loosest  []ejectCand           // selectEjections' running top j
 	ejected  []int                 // selectEjections' result
-	side     []int32               // random fission sides (ablation)
+	side     []int32               // random fission sides (ablation only)
 }
 
 func newSearch(g *graph.Graph, k int, opt Options) *search {
@@ -66,7 +75,7 @@ func newSearch(g *graph.Graph, k int, opt Options) *search {
 	if opt.Initial != nil && opt.Initial.Capacity() > n {
 		slots = opt.Initial.Capacity()
 	}
-	return &search{
+	s := &search{
 		g:            g,
 		k:            k,
 		opt:          opt,
@@ -74,20 +83,20 @@ func newSearch(g *graph.Graph, k int, opt Options) *search {
 		laws:         newLaws(n),
 		energy:       newEnergyModel(g, opt.Objective, k),
 		cur:          partition.New(g, n),
+		mem:          newMembership(n, slots),
 		maxPartVW:    capFactor * g.TotalVertexWeight() / float64(k),
 		bestOverallE: math.Inf(1),
 		bestAtKE:     math.Inf(1),
 		bestPerK:     make(map[int]float64),
 		splitter:     percolation.NewSplitter(g),
 		members:      make([]int32, 0, n),
-		parts:        make([]int, 0, slots),
-		mark:         make([]uint32, slots),
-		ids:          make([]int, 0, slots),
-		weights:      make([]float64, 0, slots),
 		loosest:      make([]ejectCand, 0, maxEject),
 		ejected:      make([]int, 0, maxEject),
-		side:         make([]int32, n),
 	}
+	if opt.DisablePercolationFission {
+		s.side = make([]int32, n)
+	}
+	return s
 }
 
 // afterEvent updates the incumbents and the trace from the current state
@@ -96,7 +105,7 @@ func newSearch(g *graph.Graph, k int, opt Options) *search {
 // all singletons and Mcut/Ncut diverge) — a nil incumbent must never
 // survive a visit to a valid state.
 func (s *search) afterEvent(loop *engine.Loop) float64 {
-	e, raw := s.energy.both(s.cur)
+	e, raw := s.energy.both(s.cur, s.mem.live)
 	if s.bestOverall == nil || e < s.bestOverallE {
 		s.bestOverallE = e
 		if s.bestOverall == nil {
@@ -132,6 +141,7 @@ func (s *search) initialize(ctx context.Context) bool {
 	for v := 0; v < n; v++ {
 		s.cur.Assign(v, v) // atom per vertex
 	}
+	s.mem.resync(s.cur)
 	poll := engine.NewPoll(ctx, 64)
 	nBar := float64(n) / float64(s.k)
 	maxSteps := 8 * n // generous: each fusion removes an atom
@@ -140,11 +150,11 @@ func (s *search) initialize(ctx context.Context) bool {
 	learn := !s.opt.DisableLawLearning
 	var prevE float64
 	if learn {
-		prevE = s.energy.energy(s.cur)
+		prevE = s.energy.energy(s.cur, s.mem.live)
 	}
 	learnFrom := func(kind lawKind, size, eject int) {
 		if learn {
-			e := s.energy.energy(s.cur)
+			e := s.energy.energy(s.cur, s.mem.live)
 			s.laws.update(kind, size, eject, e < prevE, lawDelta)
 			prevE = e
 		}
@@ -195,7 +205,7 @@ func (s *search) relaxAtoms(atom int) {
 	if s.cur.PartSize(atom) == 0 {
 		return
 	}
-	s.members = s.cur.AppendVerticesOf(s.members[:0], atom)
+	s.members = s.mem.appendMembers(s.members[:0], atom)
 	for _, v := range s.members {
 		s.relaxNucleon(int(v))
 	}
@@ -203,34 +213,29 @@ func (s *search) relaxAtoms(atom int) {
 
 // relaxNucleon moves v to the connected atom, below the soft weight cap,
 // whose move lowers the scaled energy the most, if any does, and reports
-// whether it moved. moveDelta makes each candidate O(deg v) instead of a
-// full objective evaluation.
+// whether it moved. One pass over v's adjacency gathers its weight to every
+// neighbouring atom, after which each candidate costs O(1) instead of a
+// full objective evaluation or a fresh adjacency scan. Candidates are tried
+// in first-seen adjacency order; a later one wins only if strictly better.
 func (s *search) relaxNucleon(v int) bool {
 	from := s.cur.Part(v)
-	if from == partition.Unassigned || s.cur.PartSize(from) <= 1 {
+	if s.cur.PartSize(from) <= 1 {
 		return false
 	}
 	bestTo, bestDelta := -1, -1e-12
 	vw := s.g.VertexWeight(v)
-	stamp := s.nextStamp()
-	s.mark[from] = stamp
-	for _, u := range s.g.Neighbors(v) {
-		b := s.cur.Part(int(u))
-		if b == partition.Unassigned || s.mark[b] == stamp {
+	for _, b := range s.nbr.Gather(s.cur, v) {
+		if b == from || s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
 			continue
 		}
-		s.mark[b] = stamp
-		if s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
-			continue
-		}
-		if d := s.energy.moveDelta(s.cur, v, from, b); d < bestDelta {
+		if d := s.energy.moveDelta(s.cur, &s.nbr, from, b); d < bestDelta {
 			bestTo, bestDelta = b, d
 		}
 	}
 	if bestTo < 0 {
 		return false
 	}
-	s.cur.Move(v, bestTo)
+	s.move(v, bestTo)
 	return true
 }
 
@@ -261,18 +266,18 @@ func (s *search) normalizeToK() {
 		if a < 0 {
 			// No connected pair (disconnected leftovers): merge the two
 			// smallest parts.
-			parts := s.cur.NonEmptyParts()
+			parts := s.mem.appendLive(s.parts[:0])
+			s.parts = parts
 			sort.Slice(parts, func(i, j int) bool {
 				return s.cur.PartSize(parts[i]) < s.cur.PartSize(parts[j])
 			})
 			a, b = parts[0], parts[1]
 		}
-		s.cur.MergeParts(a, b)
+		s.merge(a, b)
 	}
 	for s.cur.NumParts() < s.k {
 		largest := -1
-		s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
-		for _, a := range s.parts {
+		for a := s.mem.nextLive(0); a >= 0; a = s.mem.nextLive(a + 1) {
 			if largest < 0 || s.cur.PartSize(a) > s.cur.PartSize(largest) {
 				largest = a
 			}
@@ -292,9 +297,9 @@ func (s *search) normalizeToK() {
 // lowest (a, b).
 func (s *search) bestMergePair() (int, int) {
 	bestA, bestB, bestW := -1, -1, -1.0
-	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
-	for _, a := range s.parts {
-		for _, b := range s.conn.Of(s.cur, a) {
+	for a := s.mem.nextLive(0); a >= 0; a = s.mem.nextLive(a + 1) {
+		s.members = s.mem.appendMembers(s.members[:0], a)
+		for _, b := range s.conn.Of(s.cur, s.members) {
 			if b > a && s.conn.W[b] > bestW {
 				bestA, bestB, bestW = a, b, s.conn.W[b]
 			}
@@ -316,20 +321,22 @@ func (s *search) repairInfinite(loop *engine.Loop) {
 		loop.Cancelled() || s.k >= s.g.NumVertices() {
 		return
 	}
-	s.cur.CopyFrom(s.bestAtK)
-	s.parts = s.cur.AppendNonEmptyParts(s.parts[:0])
-	for _, a := range s.parts {
-		if s.cur.PartSize(a) == 0 || s.cur.PartInternalOrdered(a) > 0 || s.cur.PartCut(a) == 0 {
+	s.reset(s.bestAtK)
+	// Merging a into another atom empties only a itself, so walking the
+	// live set as it changes visits the atoms live at the start.
+	for a := s.mem.nextLive(0); a >= 0; a = s.mem.nextLive(a + 1) {
+		if s.cur.PartInternalOrdered(a) > 0 || s.cur.PartCut(a) == 0 {
 			continue
 		}
 		to, toW := -1, 0.0
-		for _, b := range s.conn.Of(s.cur, a) {
+		s.members = s.mem.appendMembers(s.members[:0], a)
+		for _, b := range s.conn.Of(s.cur, s.members) {
 			if s.conn.W[b] > toW {
 				to, toW = b, s.conn.W[b]
 			}
 		}
 		if to >= 0 {
-			s.cur.MergeParts(to, a)
+			s.merge(to, a)
 		}
 	}
 	s.normalizeToK()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -131,4 +132,42 @@ func mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// TestPortfolioBaselineSeedOneReproduces re-runs serial seed 1 of every
+// series in the committed BENCH_portfolio.json and requires the recorded
+// Mcut bit for bit: a committed number that no longer reproduces is stale.
+func TestPortfolioBaselineSeedOneReproduces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs three RG-10k solves; skipped under -short")
+	}
+	data, err := os.ReadFile("../../BENCH_portfolio.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc portfolioBaseline
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Seeds) == 0 || doc.Seeds[0] != 1 {
+		t.Fatalf("seeds %v do not start at 1", doc.Seeds)
+	}
+	g := graph.RandomGeometric(10_000, 0.02, 1)
+	ids := map[string]string{}
+	for _, id := range []string{"fusion-fission", "annealing", "genetic"} {
+		ids[mustMethod(t, id).Name] = id
+	}
+	if len(doc.Methods) != len(ids) {
+		t.Fatalf("BENCH_portfolio.json has %d series, want %d", len(doc.Methods), len(ids))
+	}
+	for name, s := range doc.Methods {
+		id, ok := ids[name]
+		if !ok {
+			t.Fatalf("unknown series %q", name)
+		}
+		got := benchSolve(t, g, id, doc.K, s.StepsPerWorker, 1, 1)
+		if math.Float64bits(got) != math.Float64bits(s.SerialMcut[0]) {
+			t.Errorf("%s serial seed 1: Mcut %v, BENCH_portfolio.json records %v", name, got, s.SerialMcut[0])
+		}
+	}
 }

@@ -80,20 +80,6 @@ func (o Objective) EvaluateSmoothed(p *partition.P, eps float64) float64 {
 	return o.eval(p, eps)
 }
 
-// EvaluateBoth returns EvaluateSmoothed(p, eps) and Evaluate(p) from one
-// pass over the parts. Each sum runs in the same ascending part order as the
-// separate calls, so both values are bit-identical to theirs.
-func (o Objective) EvaluateBoth(p *partition.P, eps float64) (smoothed, exact float64) {
-	for a := 0; a < p.Capacity(); a++ {
-		if p.PartSize(a) > 0 {
-			cut, w := p.PartCut(a), p.PartInternalOrdered(a)
-			smoothed += o.Term(cut, w, eps)
-			exact += o.Term(cut, w, 0)
-		}
-	}
-	return smoothed, exact
-}
-
 func (o Objective) eval(p *partition.P, eps float64) float64 {
 	total := 0.0
 	for a := 0; a < p.Capacity(); a++ {

@@ -65,8 +65,12 @@ func BenchmarkCloneAndCopyFrom(b *testing.B) {
 func BenchmarkConnections(b *testing.B) {
 	p, _ := benchPartition(b, 8)
 	var c Connections
+	var members [8][]int32
+	for a := range members {
+		members[a] = p.VerticesOf(a)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Of(p, i%8)
+		c.Of(p, members[i%8])
 	}
 }

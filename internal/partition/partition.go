@@ -306,28 +306,6 @@ func (p *P) MoveConns(v, to int, connFrom, connTo, other float64) {
 	p.minTouch(to)
 }
 
-// MergeParts moves every vertex of part b into part a. No-op when a == b.
-func (p *P) MergeParts(a, b int) {
-	if a == b || p.size[b] == 0 {
-		return
-	}
-	for v := range p.part {
-		if int(p.part[v]) == b {
-			p.Move(v, a)
-		}
-	}
-}
-
-// EmptySlot returns the id of an empty part slot, or -1 if all are occupied.
-func (p *P) EmptySlot() int {
-	for a := range p.size {
-		if p.size[a] == 0 {
-			return a
-		}
-	}
-	return -1
-}
-
 // NonEmptyParts returns the ids of all non-empty parts in increasing order.
 func (p *P) NonEmptyParts() []int {
 	return p.AppendNonEmptyParts(make([]int, 0, p.nonEmpty))
@@ -548,13 +526,7 @@ func (p *P) minCompositeScan(exclude int) int {
 
 // VerticesOf returns the vertices currently in part a, in increasing order.
 func (p *P) VerticesOf(a int) []int32 {
-	return p.AppendVerticesOf(make([]int32, 0, p.size[a]), a)
-}
-
-// AppendVerticesOf appends the vertices of part a to dst in increasing
-// order and returns the extended slice: VerticesOf into a buffer the caller
-// reuses across calls.
-func (p *P) AppendVerticesOf(dst []int32, a int) []int32 {
+	dst := make([]int32, 0, p.size[a])
 	a32 := int32(a)
 	for v, pa := range p.part {
 		if pa == a32 {
@@ -592,10 +564,13 @@ type Connections struct {
 }
 
 // Of returns the parts other than a (and not Unassigned) joined to part a by
-// at least one edge, in increasing order, and sets W for each. Each weight
-// is summed in increasing vertex order, then adjacency order. The slice is
-// valid until the next call.
-func (c *Connections) Of(p *P, a int) []int {
+// at least one edge, in increasing order, and sets W for each, where
+// members are the vertices of part a in increasing order (a caller that
+// indexes its parts' members, as fusion-fission does, passes its list
+// instead of paying a scan of every vertex). Each weight is summed in
+// increasing vertex order, then adjacency order. The slice is valid until
+// the next call.
+func (c *Connections) Of(p *P, members []int32) []int {
 	if len(c.mark) < len(p.size) {
 		c.W = make([]float64, len(p.size))
 		c.mark = make([]uint32, len(p.size))
@@ -607,13 +582,14 @@ func (c *Connections) Of(p *P, a int) []int {
 		c.stamp = 1
 	}
 	parts := c.parts[:0]
-	a32 := int32(a)
-	for v, pa := range p.part {
-		if pa != a32 {
-			continue
-		}
-		wts := p.g.Weights(v)
-		for i, u := range p.g.Neighbors(v) {
+	if len(members) == 0 {
+		c.parts = parts
+		return parts
+	}
+	a32 := p.part[members[0]]
+	for _, v := range members {
+		wts := p.g.Weights(int(v))
+		for i, u := range p.g.Neighbors(int(v)) {
 			b := p.part[u]
 			if b == a32 || b == Unassigned {
 				continue

@@ -73,31 +73,12 @@ func TestMoveEmptiesAndRevivesParts(t *testing.T) {
 	if p.NumParts() != 2 {
 		t.Fatalf("NumParts after emptying = %d", p.NumParts())
 	}
-	if p.EmptySlot() == -1 {
-		t.Fatal("expected an empty slot")
+	if p.PartSize(1) != 0 {
+		t.Fatal("expected slot 1 to be empty")
 	}
 	p.Move(2, 3) // occupy slot 3
 	if p.NumParts() != 2 {
 		t.Fatalf("NumParts = %d", p.NumParts())
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeParts(t *testing.T) {
-	g := graph.Grid2D(4, 4)
-	assign := make([]int32, 16)
-	for v := range assign {
-		assign[v] = int32(v % 4)
-	}
-	p := mustFrom(t, g, assign, 4)
-	p.MergeParts(0, 3)
-	if p.NumParts() != 3 {
-		t.Fatalf("NumParts = %d", p.NumParts())
-	}
-	if p.PartSize(3) != 0 || p.PartSize(0) != 8 {
-		t.Fatalf("sizes after merge: %d, %d", p.PartSize(3), p.PartSize(0))
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -114,7 +95,7 @@ func TestConnectionAndConnectedParts(t *testing.T) {
 		t.Fatalf("ConnectionToPart(2,2) = %g", c)
 	}
 	var c Connections
-	if cp := c.Of(p, 1); !slices.Equal(cp, []int{0, 2}) || c.W[0] != 1 || c.W[2] != 1 {
+	if cp := c.Of(p, p.VerticesOf(1)); !slices.Equal(cp, []int{0, 2}) || c.W[0] != 1 || c.W[2] != 1 {
 		t.Fatalf("Connections.Of(1) = %v, W = %v", cp, c.W)
 	}
 }
@@ -147,7 +128,7 @@ func TestConnectionsMatchScan(t *testing.T) {
 					}
 				}
 			}
-			got := c.Of(p, a)
+			got := c.Of(p, p.VerticesOf(a))
 			if len(got) != len(want) || !slices.IsSorted(got) {
 				t.Fatalf("trial %d: Of(%d) = %v, want the parts of %v", trial, a, got, want)
 			}
@@ -195,8 +176,9 @@ func TestVerticesOf(t *testing.T) {
 	}
 }
 
-// The Append forms extend a caller's buffer, whatever its length and spare
-// capacity, with exactly the ids a plain scan finds, in increasing order.
+// VerticesOf and AppendNonEmptyParts, which extends a caller's buffer
+// whatever its length, return exactly the ids a plain scan finds, in
+// increasing order.
 func TestAppendFormsMatchScan(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 200; trial++ {
@@ -207,17 +189,15 @@ func TestAppendFormsMatchScan(t *testing.T) {
 			assign[v] = int32(r.Intn(capacity))
 		}
 		p := mustFrom(t, graph.Path(n), assign, capacity)
-		prefix := []int32{-7, -8}[:r.Intn(3)]
 		for a := 0; a < capacity; a++ {
-			want := append([]int32(nil), prefix...)
+			want := []int32{}
 			for v, pa := range assign {
 				if int(pa) == a {
 					want = append(want, int32(v))
 				}
 			}
-			dst := append(make([]int32, 0, len(prefix)+r.Intn(3)), prefix...)
-			if got := p.AppendVerticesOf(dst, a); !slices.Equal(got, want) {
-				t.Fatalf("AppendVerticesOf(%v, %d) = %v, want %v", prefix, a, got, want)
+			if got := p.VerticesOf(a); !slices.Equal(got, want) {
+				t.Fatalf("VerticesOf(%d) = %v, want %v", a, got, want)
 			}
 		}
 		wantParts := []int{-1}

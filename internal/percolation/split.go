@@ -233,7 +233,9 @@ func (s *Splitter) bisect(a, b int32, logHalfMean float64) []int32 {
 }
 
 // propagate computes the free log-domain bonds from member seed to every
-// member by strongest-front expansion; unreached members get -Inf.
+// member by strongest-front expansion; unreached members get -Inf. It stops
+// as soon as every member is settled: each front still queued then is
+// stale, so popping it would change nothing.
 func (s *Splitter) propagate(seed int32, logHalfMean float64, bond []float64) {
 	done := s.done[:len(bond)]
 	for i := range bond {
@@ -242,13 +244,14 @@ func (s *Splitter) propagate(seed int32, logHalfMean float64, bond []float64) {
 	}
 	pq := s.pq[:0]
 	pq.push(front{v: seed})
-	for len(pq) > 0 {
+	for settled := 0; len(pq) > 0 && settled < len(bond); {
 		it := pq.pop()
 		if done[it.v] {
 			continue // a stronger front already claimed this member
 		}
 		done[it.v] = true
 		bond[it.v] = it.bond
+		settled++
 		v := s.members[it.v]
 		logW := s.logW[s.off[v]:s.off[v+1]]
 		for a, u := range s.g.Neighbors(int(v)) {

@@ -1,10 +1,13 @@
 package score
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/objective"
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
@@ -57,6 +60,84 @@ func TestNeighborsAllInMatchesReference(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Conns.Delta is Delta bit for bit, and To is moveConns' connection weight
+// bit for bit, for every gathered part and for a part no neighbour is in,
+// on unit-weight, weighted and self-loop graphs, with the int16 part mirror
+// and without it (capacity above 32,767). Parts lists each neighbouring
+// part once, in first-seen adjacency order.
+func TestConnsMatchDelta(t *testing.T) {
+	var c Conns // reused across every graph and capacity
+	check := func(seed int64) bool {
+		r := rng.New(seed)
+		var g *graph.Graph
+		switch seed % 3 {
+		case 0:
+			g = graph.GNP(8+r.Intn(60), 0.2, seed) // unit weights
+		default:
+			g = randomGraph(seed) // weighted; self-loops on odd seeds
+		}
+		n := g.NumVertices()
+		capacity := n
+		if r.Intn(2) == 0 {
+			capacity = math.MaxInt16 + 1 + r.Intn(100) // no int16 mirror
+		}
+		k := 2 + r.Intn(6)
+		slots := make([]int, k)
+		for i := range slots {
+			slots[i] = r.Intn(capacity)
+		}
+		assign := make([]int32, n)
+		for v := range assign {
+			assign[v] = int32(slots[r.Intn(k)])
+		}
+		p, err := partition.FromAssignment(g, assign, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mirrored := p.PartView16() != nil; mirrored != (capacity <= math.MaxInt16) {
+			t.Fatalf("capacity %d: int16 mirror present = %v", capacity, mirrored)
+		}
+		for v := 0; v < n; v++ {
+			parts := c.Gather(p, v)
+			var want []int
+			for _, u := range g.Neighbors(v) {
+				if b := p.Part(int(u)); !slices.Contains(want, b) {
+					want = append(want, b)
+				}
+			}
+			if !slices.Equal(parts, want) {
+				t.Logf("seed %d v %d: Parts = %v, want %v", seed, v, parts, want)
+				return false
+			}
+			from := p.Part(v)
+			targets := append(slices.Clone(parts), r.Intn(capacity))
+			for _, to := range targets {
+				connA, connB, _ := moveConns(p, v, from, to)
+				if math.Float64bits(c.To(from)) != math.Float64bits(connA) ||
+					(to != from && math.Float64bits(c.To(to)) != math.Float64bits(connB)) {
+					t.Logf("seed %d v %d: To(%d), To(%d) = %v, %v; moveConns %v, %v",
+						seed, v, from, to, c.To(from), c.To(to), connA, connB)
+					return false
+				}
+				for _, obj := range objective.All {
+					for _, eps := range []float64{0, 1e-6, 0.37} {
+						got, w := c.Delta(p, obj, eps, from, to), Delta(p, obj, eps, v, from, to)
+						if math.Float64bits(got) != math.Float64bits(w) {
+							t.Logf("seed %d v %d %v eps %g: Conns.Delta(%d->%d) = %v, Delta = %v",
+								seed, v, obj, eps, from, to, got, w)
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,9 +15,11 @@
 //     answer hypothetical single-vertex moves without mutating the
 //     partition.
 //   - Delta is the stateless form: the same O(deg v) hypothetical-move
-//     arithmetic against a bare partition, for callers (fusion-fission's
-//     nucleon relaxation) whose partition is rebuilt and bulk-mutated too
-//     often to keep a tracker bound.
+//     arithmetic against a bare partition, for callers whose partition is
+//     rebuilt and bulk-mutated too often to keep a tracker bound. Conns
+//     gathers v's weight to every neighbouring part in one adjacency pass
+//     and answers Delta for each of them in O(1), bit-identical to it
+//     (fusion-fission's nucleon relaxation).
 //
 // # Drift and Rebuild
 //
@@ -385,9 +387,123 @@ func Delta(p *partition.P, obj objective.Objective, eps float64, v, from, to int
 	}
 	before := obj.Term(p.PartCut(from), p.PartInternalOrdered(from), eps) +
 		obj.Term(p.PartCut(to), p.PartInternalOrdered(to), eps)
-	cutA2, wA2, cutB2, wB2 := moveStats(p, v, from, to)
+	connA, connB, other := moveConns(p, v, from, to)
+	return deltaFromConns(p, obj, eps, before, v, from, to, connA, connB, other)
+}
+
+// deltaFromConns finishes Delta once v's connection weights are known:
+// before is the sum of the two parts' current terms.
+func deltaFromConns(p *partition.P, obj objective.Objective, eps, before float64, v, from, to int, connA, connB, other float64) float64 {
+	cutA2, wA2, cutB2, wB2 := moveStatsFromConns(p, v, from, to, connA, connB, other)
 	after := obj.Term(cutA2, wA2, eps) + obj.Term(cutB2, wB2, eps)
 	return after - before
+}
+
+// Conns holds one vertex's connection weight to every part its neighbours
+// occupy, gathered in a single pass over its adjacency. Each part's weight
+// is grouped exactly as moveConns groups connA and connB for that part, so
+// Conns.Delta equals Delta bit for bit while a caller weighing several
+// target parts (fusion-fission's nucleon relaxation) pays one adjacency
+// scan instead of one per target:
+//
+//   - int16 mirror, unit edge weights: neighbour counts (sums of 1.0 are
+//     the integer counts exactly);
+//   - int16 mirror, weighted: one sum over the even adjacency indices and
+//     one over the odd ones, added as even + odd;
+//   - no mirror (capacity above 32,767): one sum in adjacency order.
+//
+// Scratch is reused across calls; the zero value is ready to use.
+type Conns struct {
+	// Parts lists the distinct parts of v's neighbours, v's own part
+	// included, in first-seen adjacency order. Valid until the next Gather.
+	Parts []int
+
+	v         int
+	wd        float64   // v's weighted degree, as moveConns reads it
+	even, odd []float64 // per entry of Parts
+	// slot[b] is stamp<<32 | i when part b is Parts[i] in this gather.
+	slot  []uint64
+	stamp uint32
+}
+
+// Gather scans v's adjacency once and returns the distinct parts of its
+// neighbours (see Parts). p must be complete.
+func (c *Conns) Gather(p *partition.P, v int) []int {
+	if !p.Complete() {
+		panic("score: Conns.Gather needs a complete partition")
+	}
+	if len(c.slot) < p.Capacity() {
+		c.slot = make([]uint64, p.Capacity())
+		c.stamp = 0
+	}
+	c.stamp++
+	if c.stamp == 0 { // wrapped: old entries could collide, so clear them
+		clear(c.slot)
+		c.stamp = 1
+	}
+	c.v = v
+	c.Parts, c.even, c.odd = c.Parts[:0], c.even[:0], c.odd[:0]
+	g := p.Graph()
+	nbrs, wts := g.Neighbors(v), g.Weights(v)
+	if part := p.PartView16(); part != nil {
+		if g.UnitEdgeWeights() {
+			for _, u := range nbrs {
+				c.even[c.index(int(part[u]))]++
+			}
+			c.wd = float64(len(nbrs))
+			return c.Parts
+		}
+		for i, u := range nbrs {
+			if j := c.index(int(part[u])); i&1 == 0 {
+				c.even[j] += wts[i]
+			} else {
+				c.odd[j] += wts[i]
+			}
+		}
+	} else {
+		part := p.PartView()
+		for i, u := range nbrs {
+			c.even[c.index(int(part[u]))] += wts[i]
+		}
+	}
+	c.wd = g.WeightedDegree(v)
+	return c.Parts
+}
+
+// index returns b's entry in Parts, adding it on first sight.
+func (c *Conns) index(b int) int {
+	if e := c.slot[b]; uint32(e>>32) == c.stamp {
+		return int(uint32(e))
+	}
+	i := len(c.Parts)
+	c.slot[b] = uint64(c.stamp)<<32 | uint64(i)
+	c.Parts = append(c.Parts, b)
+	c.even = append(c.even, 0)
+	c.odd = append(c.odd, 0)
+	return i
+}
+
+// To returns the gathered vertex's connection weight to part b (0 when no
+// neighbour lies in b).
+func (c *Conns) To(b int) float64 {
+	if e := c.slot[b]; uint32(e>>32) == c.stamp {
+		i := uint32(e)
+		return c.even[i] + c.odd[i]
+	}
+	return 0
+}
+
+// Delta is Delta(p, obj, eps, v, from, to) for the gathered vertex v, which
+// must sit in `from`, in O(1) and bit-identical to it. p must not have
+// changed since the Gather.
+func (c *Conns) Delta(p *partition.P, obj objective.Objective, eps float64, from, to int) float64 {
+	if from == to {
+		return 0
+	}
+	before := obj.Term(p.PartCut(from), p.PartInternalOrdered(from), eps) +
+		obj.Term(p.PartCut(to), p.PartInternalOrdered(to), eps)
+	connA, connB := c.To(from), c.To(to)
+	return deltaFromConns(p, obj, eps, before, c.v, from, to, connA, connB, c.wd-connA-connB)
 }
 
 // moveConns scans v's adjacency once and splits its incident edge weight
@@ -551,16 +667,9 @@ func NeighborsAllIn(p *partition.P, v, a int) bool {
 	return true
 }
 
-// moveStats computes, in one O(deg v) adjacency scan, the (cut, ordered
-// internal weight) both affected parts would have after moving v from part
-// `from` to part `to`.
-func moveStats(p *partition.P, v, from, to int) (cutA2, wA2, cutB2, wB2 float64) {
-	connA, connB, other := moveConns(p, v, from, to)
-	return moveStatsFromConns(p, v, from, to, connA, connB, other)
-}
-
-// moveStatsFromConns is the O(1) delta arithmetic under moveStats, for
-// callers that already hold v's per-part connection weights. A self-loop on
+// moveStatsFromConns computes, in O(1) from v's connection weights, the
+// (cut, ordered internal weight) both affected parts would have after
+// moving v from part `from` to part `to`. A self-loop on
 // v carries its doubled weight between the parts' internal weights, exactly
 // as partition.Move does.
 func moveStatsFromConns(p *partition.P, v, from, to int, connA, connB, other float64) (cutA2, wA2, cutB2, wB2 float64) {

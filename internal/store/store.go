@@ -29,6 +29,10 @@ const DefaultMaxBytes = 256 << 20
 // fileExt is the on-disk suffix for spilled graphs: <digest>.ffg.
 const fileExt = ".ffg"
 
+// badExt is appended to a spill file that failed verification on load: the
+// file is kept for inspection, but a rescan no longer indexes it.
+const badExt = ".bad"
+
 // Store is a content-addressed graph store with an LRU memory tier and
 // optional on-disk spill. All methods are safe for concurrent use.
 type Store struct {
@@ -119,37 +123,46 @@ func (s *Store) path(id string) string { return filepath.Join(s.dir, id+fileExt)
 // whether the graph was new (false = deduplicated against an existing
 // copy). The encoded form is written to disk before the id becomes
 // addressable, so a crash never leaves a dangling id. Both tiers account a
-// graph at its encoded length; a memory-only store never encodes.
+// graph at its encoded length; a memory-only store never encodes. A graph
+// whose spill file was refused by Get is no longer indexed, so its next Put
+// writes the file afresh and reports it new.
 func (s *Store) Put(g *graph.Graph) (string, bool, error) {
 	id := graph.Digest(g)
-
-	s.mu.Lock()
-	if el, ok := s.byID[id]; ok {
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return id, false, nil
-	}
-	_, spilled := s.onDisk[id]
-	s.mu.Unlock()
-
-	if s.dir != "" && !spilled {
-		if err := writeAtomic(s.path(id), graph.EncodeBinary(g)); err != nil {
-			return "", false, fmt.Errorf("store: spilling %s: %w", id[:12], err)
+	for {
+		s.mu.Lock()
+		if el, ok := s.byID[id]; ok {
+			s.lru.MoveToFront(el)
+			s.mu.Unlock()
+			return id, false, nil
 		}
-	}
+		_, spilled := s.onDisk[id]
+		s.mu.Unlock()
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	created := !spilled
-	if _, ok := s.byID[id]; ok {
-		return id, false, nil // racing Put of the same graph won
+		if s.dir != "" && !spilled {
+			if err := writeAtomic(s.path(id), graph.EncodeBinary(g)); err != nil {
+				return "", false, fmt.Errorf("store: spilling %s: %w", id[:12], err)
+			}
+		}
+
+		s.mu.Lock()
+		if _, ok := s.byID[id]; ok {
+			s.mu.Unlock()
+			return id, false, nil // racing Put of the same graph won
+		}
+		if _, still := s.onDisk[id]; spilled && !still {
+			// The file this Put relied on was refused or deleted
+			// meanwhile: start over and write it.
+			s.mu.Unlock()
+			continue
+		}
+		size := int64(graph.EncodedBinaryLen(g))
+		s.admit(id, g, size)
+		if s.dir != "" {
+			s.onDisk[id] = size
+		}
+		s.mu.Unlock()
+		return id, !spilled, nil
 	}
-	size := int64(graph.EncodedBinaryLen(g))
-	s.admit(id, g, size)
-	if s.dir != "" {
-		s.onDisk[id] = size
-	}
-	return id, created, nil
 }
 
 // admit inserts an entry at the front of the memory tier and evicts from
@@ -192,17 +205,23 @@ func (s *Store) Get(id string) (*graph.Graph, bool) {
 	// Load outside the lock; OpenBinary verifies the content digest, so a
 	// corrupted spill file is refused rather than served.
 	g, err := graph.OpenBinary(s.path(id))
-	if err != nil || graph.Digest(g) != id {
-		return nil, false
-	}
+	ok := err == nil && graph.Digest(g) == id
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byID[id]; ok { // racing reload won
+	if el, in := s.byID[id]; in { // racing reload or Put won
 		s.lru.MoveToFront(el)
 		return el.Value.(*entry).g, true
 	}
 	if _, still := s.onDisk[id]; !still {
 		return nil, false // deleted while we were loading
+	}
+	if !ok {
+		// Forget the id and move the file aside, under the lock: no Put
+		// writes this file while the id is indexed, so the file moved is
+		// the one refused, and the next Put of the graph writes it afresh.
+		delete(s.onDisk, id)
+		_ = os.Rename(s.path(id), s.path(id)+badExt)
+		return nil, false
 	}
 	s.admit(id, g, size)
 	return g, true

@@ -293,3 +293,43 @@ func BenchmarkPutMemoryOnly(b *testing.B) {
 		}
 	}
 }
+
+// A spill file that fails verification is forgotten and moved aside: the id
+// stops being addressable, the next Put of the graph rewrites the file and
+// reports it created, and the graph then survives another eviction.
+func TestCorruptedSpillHealsOnPut(t *testing.T) {
+	dir := t.TempDir()
+	grid := graph.Grid2D(6, 6)
+	s, _ := Open(dir, int64(len(graph.EncodeBinary(grid))))
+	id, _, _ := s.Put(grid)
+	s.Put(graph.Cycle(40)) // evict the grid to disk only
+	path := filepath.Join(dir, id+".ffg")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(id); ok {
+		t.Fatal("corrupted spill file served")
+	}
+	if s.Contains(id) {
+		t.Fatal("refused id still reported as contained")
+	}
+	if _, err := os.Stat(path + ".bad"); err != nil {
+		t.Fatalf("refused file not moved aside: %v", err)
+	}
+	if again, _ := Open(dir, 0); again.Contains(id) {
+		t.Fatal("a rescan indexes the refused file")
+	}
+	if _, created, err := s.Put(grid); err != nil || !created {
+		t.Fatalf("re-Put after refusal: created=%v err=%v, want a fresh write", created, err)
+	}
+	s.Put(graph.Cycle(40)) // evict the grid again
+	got, ok := s.Get(id)
+	if !ok || graph.Digest(got) != id {
+		t.Fatal("rewritten spill file not reloadable")
+	}
+}
