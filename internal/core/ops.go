@@ -28,8 +28,7 @@ func (s *search) chooseAtom() int {
 // drawn in ascending part order, so the draw is deterministic by seed.
 func (s *search) choosePartner(atom int, tFrac float64) int {
 	p := s.cur
-	s.members = s.mem.appendMembers(s.members[:0], atom)
-	conn := s.conn.Of(p, s.members)
+	conn := s.connected(atom)
 	if len(conn) == 0 {
 		return -1
 	}
@@ -50,6 +49,13 @@ func (s *search) choosePartner(atom int, tFrac float64) int {
 		return -1
 	}
 	return ids[pick]
+}
+
+// connected returns the atoms joined to atom a by at least one edge, in
+// ascending order, and sets s.conn.W to their connection weights.
+func (s *search) connected(a int) []int {
+	s.members = s.mem.appendMembers(s.members[:0], a)
+	return s.conn.Of(s.cur, s.members)
 }
 
 // fuse merges partner into atom and returns the merged part id.

@@ -298,8 +298,7 @@ func (s *search) normalizeToK() {
 func (s *search) bestMergePair() (int, int) {
 	bestA, bestB, bestW := -1, -1, -1.0
 	for a := s.mem.nextLive(0); a >= 0; a = s.mem.nextLive(a + 1) {
-		s.members = s.mem.appendMembers(s.members[:0], a)
-		for _, b := range s.conn.Of(s.cur, s.members) {
+		for _, b := range s.connected(a) {
 			if b > a && s.conn.W[b] > bestW {
 				bestA, bestB, bestW = a, b, s.conn.W[b]
 			}
@@ -329,8 +328,7 @@ func (s *search) repairInfinite(loop *engine.Loop) {
 			continue
 		}
 		to, toW := -1, 0.0
-		s.members = s.mem.appendMembers(s.members[:0], a)
-		for _, b := range s.conn.Of(s.cur, s.members) {
+		for _, b := range s.connected(a) {
 			if s.conn.W[b] > toW {
 				to, toW = b, s.conn.W[b]
 			}

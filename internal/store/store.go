@@ -188,7 +188,9 @@ func (s *Store) admit(id string, g *graph.Graph, size int64) {
 // Get returns the graph stored under id. A memory hit is O(1) and marks
 // the entry most recently used; a disk hit reloads, re-admits and counts
 // as a miss in no externally visible way. The second result is false when
-// the id is unknown or was evicted from a memory-only store.
+// the id is unknown, was evicted from a memory-only store, or its spill
+// file failed verification; such a file is moved aside and the id
+// forgotten.
 func (s *Store) Get(id string) (*graph.Graph, bool) {
 	s.mu.Lock()
 	if el, ok := s.byID[id]; ok {

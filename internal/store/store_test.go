@@ -333,3 +333,52 @@ func TestCorruptedSpillHealsOnPut(t *testing.T) {
 		t.Fatal("rewritten spill file not reloadable")
 	}
 }
+
+// Puts, Gets and Deletes of the same ids race under a memory bound that
+// holds one graph, so most Gets reload from disk: no Get serves a wrong
+// graph, and once the churn stops every graph put again reloads from its
+// spill file.
+func TestConcurrentPutDeleteReload(t *testing.T) {
+	dir := t.TempDir()
+	graphs := make([]*graph.Graph, 4)
+	ids := make([]string, len(graphs))
+	for i := range graphs {
+		graphs[i] = graph.GNP(40+i, 0.2, int64(i))
+		ids[i] = graph.Digest(graphs[i])
+	}
+	s, _ := Open(dir, 1)
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (w + i) % len(graphs)
+				switch (w + i) % 4 {
+				case 0, 1:
+					if _, _, err := s.Put(graphs[k]); err != nil {
+						t.Errorf("Put: %v", err)
+					}
+				case 2:
+					if g, ok := s.Get(ids[k]); ok && graph.Digest(g) != ids[k] {
+						t.Error("Get returned the wrong graph")
+					}
+				case 3:
+					s.Delete(ids[k])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range graphs {
+		if _, _, err := s.Put(graphs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The bound holds one graph, so all but the last are on disk only.
+	for i, id := range ids {
+		if g, ok := s.Get(id); !ok || graph.Digest(g) != id {
+			t.Fatalf("graph %d not reloadable after the churn", i)
+		}
+	}
+}
