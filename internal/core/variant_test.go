@@ -37,7 +37,7 @@ type variantCase struct {
 	g       *graph.Graph
 	k       int
 	steps   int
-	opt     func(g *graph.Graph, k int) Options
+	opt     Options // Objective, MaxSteps and Seed are set per run
 }
 
 // blockLabels assigns the vertices of g to `parts` contiguous blocks, part
@@ -50,18 +50,16 @@ func blockLabels(n, parts, base, stride int) []int32 {
 	return out
 }
 
-// initialOpt returns options starting from a block warm start with the
-// given part count and part-slot capacity.
-func initialOpt(t testing.TB, parts, capacity int) func(*graph.Graph, int) Options {
-	return func(g *graph.Graph, k int) Options {
-		n := g.NumVertices()
-		stride := (capacity - 1) / parts
-		p, err := partition.FromAssignment(g, blockLabels(n, parts, capacity-1-(parts-1)*stride, stride), capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Options{Initial: p}
+// initialOpt returns options starting from a block warm start of g with the
+// given part count and part-slot capacity. Partition clones Initial, so
+// every run starts from the same state.
+func initialOpt(t testing.TB, g *graph.Graph, parts, capacity int) Options {
+	stride := (capacity - 1) / parts
+	p, err := partition.FromAssignment(g, blockLabels(g.NumVertices(), parts, capacity-1-(parts-1)*stride, stride), capacity)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return Options{Initial: p}
 }
 
 // nonDyadicGraph reweights a random geometric graph with weights that are
@@ -115,25 +113,20 @@ func variantCases(t testing.TB) []variantCase {
 	if coarse.UnitVertexWeights() || !coarse.HasLoops() {
 		t.Fatal("coarse level lacks vertex weights or self-loops")
 	}
-	plain := func(*graph.Graph, int) Options { return Options{} }
 	nd := nonDyadicGraph()
 	return []variantCase{
-		{"initial-n-above-k", "airspace", air, 32, 300, initialOpt(t, 48, air.NumVertices())},
-		{"initial-n-below-k", "rg800", rg, 16, 300, initialOpt(t, 6, rg.NumVertices())},
-		{"initial-wide-unmirrored", "airspace", air, 32, 300, initialOpt(t, 40, 40000)},
-		{"initial-wide-unmirrored", "rg800", rg, 16, 300, initialOpt(t, 10, 40000)},
-		{"initial-wide-unmirrored", "rg500-nondyadic", nd, 16, 300, initialOpt(t, 20, 40000)},
-		{"non-dyadic-weights", "rg500-nondyadic", nd, 16, 600, plain},
-		{"no-percolation", "airspace", air, 32, 600, func(*graph.Graph, int) Options {
-			return Options{DisablePercolationFission: true}
-		}},
-		{"no-law-learning", "airspace", air, 32, 600, func(*graph.Graph, int) Options {
-			return Options{DisableLawLearning: true}
-		}},
-		{"coarse-level", "airspace-hem1", coarse, 16, 600, plain},
-		{"k-equals-n", "grid4x4", graph.Grid2D(4, 4), 16, 200, plain},
-		{"k-equals-n", "path6", graph.Path(6), 6, 200, plain},
-		{"disconnected", "grids+triangle+isolated", disconnectedGraph(), 8, 600, plain},
+		{"initial-n-above-k", "airspace", air, 32, 300, initialOpt(t, air, 48, air.NumVertices())},
+		{"initial-n-below-k", "rg800", rg, 16, 300, initialOpt(t, rg, 6, rg.NumVertices())},
+		{"initial-wide-unmirrored", "airspace", air, 32, 300, initialOpt(t, air, 40, 40000)},
+		{"initial-wide-unmirrored", "rg800", rg, 16, 300, initialOpt(t, rg, 10, 40000)},
+		{"initial-wide-unmirrored", "rg500-nondyadic", nd, 16, 300, initialOpt(t, nd, 20, 40000)},
+		{"non-dyadic-weights", "rg500-nondyadic", nd, 16, 600, Options{}},
+		{"no-percolation", "airspace", air, 32, 600, Options{DisablePercolationFission: true}},
+		{"no-law-learning", "airspace", air, 32, 600, Options{DisableLawLearning: true}},
+		{"coarse-level", "airspace-hem1", coarse, 16, 600, Options{}},
+		{"k-equals-n", "grid4x4", graph.Grid2D(4, 4), 16, 200, Options{}},
+		{"k-equals-n", "path6", graph.Path(6), 6, 200, Options{}},
+		{"disconnected", "grids+triangle+isolated", disconnectedGraph(), 8, 600, Options{}},
 	}
 }
 
@@ -143,7 +136,7 @@ func runVariants(t testing.TB, maxSeed int64, visit func(variantEntry)) {
 	for _, vc := range variantCases(t) {
 		for _, obj := range []objective.Objective{objective.MCut, objective.NCut, objective.Cut} {
 			for seed := int64(1); seed <= maxSeed; seed++ {
-				opt := vc.opt(vc.g, vc.k)
+				opt := vc.opt
 				opt.Objective, opt.MaxSteps, opt.Seed = obj, vc.steps, seed
 				c := trajCase{Graph: vc.graph, K: vc.k, Objective: obj.String(), MaxSteps: vc.steps, Seed: seed}
 				res, err := Partition(vc.g, vc.k, opt)

@@ -385,15 +385,14 @@ func Delta(p *partition.P, obj objective.Objective, eps float64, v, from, to int
 	if from == to {
 		return 0
 	}
-	before := obj.Term(p.PartCut(from), p.PartInternalOrdered(from), eps) +
-		obj.Term(p.PartCut(to), p.PartInternalOrdered(to), eps)
 	connA, connB, other := moveConns(p, v, from, to)
-	return deltaFromConns(p, obj, eps, before, v, from, to, connA, connB, other)
+	return deltaFromConns(p, obj, eps, v, from, to, connA, connB, other)
 }
 
-// deltaFromConns finishes Delta once v's connection weights are known:
-// before is the sum of the two parts' current terms.
-func deltaFromConns(p *partition.P, obj objective.Objective, eps, before float64, v, from, to int, connA, connB, other float64) float64 {
+// deltaFromConns is Delta once v's connection weights are known.
+func deltaFromConns(p *partition.P, obj objective.Objective, eps float64, v, from, to int, connA, connB, other float64) float64 {
+	before := obj.Term(p.PartCut(from), p.PartInternalOrdered(from), eps) +
+		obj.Term(p.PartCut(to), p.PartInternalOrdered(to), eps)
 	cutA2, wA2, cutB2, wB2 := moveStatsFromConns(p, v, from, to, connA, connB, other)
 	after := obj.Term(cutA2, wA2, eps) + obj.Term(cutB2, wB2, eps)
 	return after - before
@@ -500,10 +499,8 @@ func (c *Conns) Delta(p *partition.P, obj objective.Objective, eps float64, from
 	if from == to {
 		return 0
 	}
-	before := obj.Term(p.PartCut(from), p.PartInternalOrdered(from), eps) +
-		obj.Term(p.PartCut(to), p.PartInternalOrdered(to), eps)
 	connA, connB := c.To(from), c.To(to)
-	return deltaFromConns(p, obj, eps, before, c.v, from, to, connA, connB, c.wd-connA-connB)
+	return deltaFromConns(p, obj, eps, c.v, from, to, connA, connB, c.wd-connA-connB)
 }
 
 // moveConns scans v's adjacency once and splits its incident edge weight
@@ -669,9 +666,9 @@ func NeighborsAllIn(p *partition.P, v, a int) bool {
 
 // moveStatsFromConns computes, in O(1) from v's connection weights, the
 // (cut, ordered internal weight) both affected parts would have after
-// moving v from part `from` to part `to`. A self-loop on
-// v carries its doubled weight between the parts' internal weights, exactly
-// as partition.Move does.
+// moving v from part `from` to part `to`. A self-loop on v carries its
+// doubled weight between the parts' internal weights, exactly as
+// partition.Move does.
 func moveStatsFromConns(p *partition.P, v, from, to int, connA, connB, other float64) (cutA2, wA2, cutB2, wB2 float64) {
 	cutA, wA := p.PartCut(from), p.PartInternalOrdered(from)
 	cutB, wB := p.PartCut(to), p.PartInternalOrdered(to)
