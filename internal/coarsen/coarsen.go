@@ -344,6 +344,15 @@ func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 	for c, w := range vw {
 		b.SetVertexWeight(c, w)
 	}
+	// The builder holds exactly the edges that cross coarse vertices, so a
+	// counting pass sizes it once instead of growing it by doubling.
+	cross := 0
+	g.ForEachEdge(func(u, v int, _ float64) {
+		if toCoarse[u] != toCoarse[v] {
+			cross++
+		}
+	})
+	b.Reserve(cross)
 	g.ForEachEdge(func(u, v int, w float64) {
 		cu, cv := toCoarse[u], toCoarse[v]
 		if cu != cv {

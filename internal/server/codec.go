@@ -123,23 +123,30 @@ func badRequestf(format string, args ...any) error {
 	return &badRequestError{fmt.Sprintf(format, args...)}
 }
 
-// notFoundError marks references to absent resources that map to HTTP 404 —
-// an unknown or evicted graph id, most importantly.
-type notFoundError struct{ msg string }
-
-func (e *notFoundError) Error() string { return e.msg }
-
-func notFoundf(format string, args ...any) error {
-	return &notFoundError{fmt.Sprintf(format, args...)}
-}
-
 // decodeGraph materializes the request's inline graph (spec.ID resolution
 // happens in the server, which owns the store). An edge list may declare at
 // most maxVertices vertices, the bound METIS text gets from needing one
 // line per vertex: n is checked before anything is allocated for it.
 func decodeGraph(spec GraphSpec, maxVertices int64) (*graph.Graph, error) {
+	return buildGraph(spec, len(spec.Edges), nil, maxVertices)
+}
+
+// hasInline reports whether spec carries inline graph content; nEdges is
+// its edge count, which the one-pass scan keeps in place of spec.Edges.
+func hasInline(spec GraphSpec, nEdges int) bool {
+	return spec.METIS != "" || hasEdgeList(spec, nEdges)
+}
+
+func hasEdgeList(spec GraphSpec, nEdges int) bool {
+	return spec.N != 0 || nEdges != 0 || len(spec.VertexWeights) != 0
+}
+
+// buildGraph is decodeGraph for a spec whose edges may already sit in a
+// builder: the one-pass request scan feeds its nEdges edges into b as it
+// reads them and leaves spec.Edges nil. Every other caller passes b nil.
+func buildGraph(spec GraphSpec, nEdges int, b *graph.Builder, maxVertices int64) (*graph.Graph, error) {
 	hasMETIS := spec.METIS != ""
-	hasEdges := spec.N != 0 || len(spec.Edges) != 0 || len(spec.VertexWeights) != 0
+	hasEdges := hasEdgeList(spec, nEdges)
 	switch {
 	case spec.ID != "" && (hasMETIS || hasEdges):
 		return nil, badRequestf("graph: give a stored-graph id or inline content, not both")
@@ -152,45 +159,62 @@ func decodeGraph(spec GraphSpec, maxVertices int64) (*graph.Graph, error) {
 		}
 		return g, nil
 	case hasEdges:
-		return decodeEdgeList(spec, maxVertices)
+		return decodeEdgeList(spec, b, maxVertices)
 	}
 	return nil, badRequestf("graph: missing (want graph.id, graph.metis or graph.n + graph.edges)")
 }
 
-func decodeEdgeList(spec GraphSpec, maxVertices int64) (*graph.Graph, error) {
+// vertexLimit is the largest n an edge list may declare.
+func vertexLimit(maxVertices int64) int64 { return min(maxVertices, graph.MaxVertices) }
+
+func decodeEdgeList(spec GraphSpec, b *graph.Builder, maxVertices int64) (*graph.Graph, error) {
 	if spec.N <= 0 {
 		return nil, badRequestf("graph: n must be positive, got %d", spec.N)
 	}
-	if limit := min(maxVertices, graph.MaxVertices); int64(spec.N) > limit {
+	if limit := vertexLimit(maxVertices); int64(spec.N) > limit {
 		return nil, badRequestf("graph: n = %d exceeds the limit of %d vertices", spec.N, limit)
 	}
 	if len(spec.VertexWeights) != 0 && len(spec.VertexWeights) != spec.N {
 		return nil, badRequestf("graph: %d vertex weights for %d vertices", len(spec.VertexWeights), spec.N)
 	}
-	b := graph.NewBuilder(spec.N)
-	b.Reserve(len(spec.Edges))
+	if b == nil {
+		b = graph.NewBuilder(spec.N)
+		b.Reserve(len(spec.Edges))
+	}
+	// A scanned builder already holds its edges. The scan accepts only
+	// positive vertex weights, which cannot fail, so setting them after the
+	// edges leaves the builder's first error what it is set before them.
 	for i, w := range spec.VertexWeights {
 		b.SetVertexWeight(i, w)
 	}
 	for i, e := range spec.Edges {
-		if len(e) != 2 && len(e) != 3 {
-			return nil, badRequestf("graph: edge %d has %d entries (want [u,v] or [u,v,w])", i, len(e))
+		if err := addEdge(b, i, e); err != nil {
+			return nil, err
 		}
-		u, v := e[0], e[1]
-		if u != math.Trunc(u) || v != math.Trunc(v) {
-			return nil, badRequestf("graph: edge %d has non-integer endpoints [%g,%g]", i, u, v)
-		}
-		w := 1.0
-		if len(e) == 3 {
-			w = e[2]
-		}
-		b.AddEdge(int(u), int(v), w)
 	}
 	g, err := b.Build()
 	if err != nil {
 		return nil, badRequestf("%v", err)
 	}
 	return g, nil
+}
+
+// addEdge feeds edge i of a wire edge list to b, or refuses it: an edge
+// has two or three values, and integer endpoints.
+func addEdge(b *graph.Builder, i int, e []float64) error {
+	if len(e) != 2 && len(e) != 3 {
+		return badRequestf("graph: edge %d has %d entries (want [u,v] or [u,v,w])", i, len(e))
+	}
+	u, v := e[0], e[1]
+	if u != math.Trunc(u) || v != math.Trunc(v) {
+		return badRequestf("graph: edge %d has non-integer endpoints [%g,%g]", i, u, v)
+	}
+	w := 1.0
+	if len(e) == 3 {
+		w = e[2]
+	}
+	b.AddEdge(int(u), int(v), w)
+	return nil
 }
 
 // options converts the wire fields to library options, clamping the budget

@@ -36,23 +36,43 @@ func (l *EdgeList) UnmarshalJSON(data []byte) error {
 // scanEdgeList decodes the plain form of an edge list, or reports false for
 // anything it does not handle, leaving no trace.
 func scanEdgeList(data []byte) (EdgeList, bool) {
-	i := skipSpace(data, 0)
-	if i == len(data) || data[i] != '[' {
-		return nil, false
-	}
 	// Every value but the last is followed by a comma and every edge
 	// opens with a bracket, so both arrays are allocated once.
 	flat := make([]float64, 0, bytes.Count(data, []byte{','})+1)
 	edges := make(EdgeList, 0, bytes.Count(data, []byte{'['}))
+	end, ok := scanEdges(data, skipSpace(data, 0), func(e []float64) bool {
+		s := len(flat)
+		flat = append(flat, e...)
+		edges = append(edges, flat[s:len(flat):len(flat)])
+		return true
+	})
+	if !ok || skipSpace(data, end) != len(data) {
+		return nil, false
+	}
+	return edges, true
+}
+
+// scanEdges is the one grammar of a plain edge list, shared by EdgeList and
+// the one-pass request scan: starting at data[i], a JSON array of arrays of
+// JSON numbers, whitespace allowed between tokens. It calls edge with each
+// inner array's values in list order and returns the index just past the
+// outer array. The slice edge receives is reused for the next edge, so edge
+// copies what it keeps. ok is false for anything else, and as soon as edge
+// reports false.
+func scanEdges(data []byte, i int, edge func(e []float64) bool) (end int, ok bool) {
+	if i == len(data) || data[i] != '[' {
+		return 0, false
+	}
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
-		return edges, skipSpace(data, i+1) == len(data)
+		return i + 1, true
 	}
+	e := make([]float64, 0, 3)
 	for {
 		if i == len(data) || data[i] != '[' {
-			return nil, false
+			return 0, false
 		}
-		s := len(flat)
+		e = e[:0]
 		i = skipSpace(data, i+1)
 		if i < len(data) && data[i] == ']' {
 			i++
@@ -60,34 +80,35 @@ func scanEdgeList(data []byte) (EdgeList, bool) {
 			for {
 				x, next, ok := scanNumber(data, i)
 				if !ok {
-					return nil, false
+					return 0, false
 				}
-				flat = append(flat, x)
+				e = append(e, x)
 				i = skipSpace(data, next)
 				if i == len(data) {
-					return nil, false
+					return 0, false
 				}
 				if data[i] == ']' {
 					i++
 					break
 				}
 				if data[i] != ',' {
-					return nil, false
+					return 0, false
 				}
 				i = skipSpace(data, i+1)
 			}
 		}
-		e := len(flat)
-		edges = append(edges, flat[s:e:e])
+		if !edge(e) {
+			return 0, false
+		}
 		i = skipSpace(data, i)
 		if i == len(data) {
-			return nil, false
+			return 0, false
 		}
 		if data[i] == ']' {
-			return edges, skipSpace(data, i+1) == len(data)
+			return i + 1, true
 		}
 		if data[i] != ',' {
-			return nil, false
+			return 0, false
 		}
 		i = skipSpace(data, i+1)
 	}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 
@@ -63,28 +61,21 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeUpload materializes an uploaded graph from either encoding;
-// maxVertices bounds an edge list's n as in decodeGraph.
-func decodeUpload(r *http.Request, maxVertices int64) (*graph.Graph, error) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			return nil, badRequestf("reading body: %v", err)
-		}
-		g, err := graph.DecodeBinary(data)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		return g, nil
+// decodeUpload materializes an uploaded graph from either encoding. The
+// body limit maxBody also bounds an edge list's n, as in decodeGraph.
+func decodeUpload(r *http.Request, maxBody int64) (*graph.Graph, error) {
+	body := readBody(r, maxBody)
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
+		return decodeGraphSpec(body, maxBody)
 	}
-	var spec GraphSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		return nil, badRequestf("bad request body: %v", err)
+	if body.err != nil {
+		return nil, badRequestf("reading body: %v", body.err)
 	}
-	if spec.ID != "" {
-		return nil, badRequestf("graph: uploads carry content, not an id")
+	g, err := graph.DecodeBinary(body.data)
+	if err != nil {
+		return nil, badRequestf("%v", err)
 	}
-	return decodeGraph(spec, maxVertices)
+	return g, nil
 }
 
 // handleGraphByID serves the per-graph endpoints:
@@ -140,9 +131,9 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request, id st
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req mutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	req, err := decodeMutate(readBody(r, s.cfg.MaxBodyBytes))
+	if err != nil {
+		s.writeRequestError(w, err)
 		return
 	}
 	if len(req.Edits) == 0 {

@@ -35,7 +35,6 @@ import (
 
 	ff "repro"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -257,15 +256,22 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req PartitionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	g, digest, err := s.resolveGraph(req.Graph)
+	req, g, err := decodePartition(readBody(r, s.cfg.MaxBodyBytes), s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
+	}
+	// Stored graphs come out of the store with their content digest for
+	// free (the id is the digest, verified at upload); inline graphs hash
+	// lazily below, only if a key is needed.
+	digest := ""
+	if g == nil {
+		var ok bool
+		if g, ok = s.store.Get(req.Graph.ID); !ok {
+			writeError(w, http.StatusNotFound, "unknown graph id %q (never uploaded, evicted, or deleted)", req.Graph.ID)
+			return
+		}
+		digest = req.Graph.ID
 	}
 	opt, err := req.options(s.cfg.MaxBudget, s.cfg.MaxParallelism)
 	if err != nil {
@@ -372,40 +378,19 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // disconnected mid-request; the response is never seen, the code feeds logs.
 const statusClientClosedRequest = 499
 
-// writeRequestError maps codec errors: client mistakes get 400, absent
-// resources 404, anything else 500.
+// writeRequestError answers a codec error: client mistakes get 400,
+// anything else 500.
 func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
-	var bad *badRequestError
-	if errors.As(err, &bad) {
-		writeError(w, http.StatusBadRequest, "%s", bad.msg)
-		return
-	}
-	var missing *notFoundError
-	if errors.As(err, &missing) {
-		writeError(w, http.StatusNotFound, "%s", missing.msg)
-		return
-	}
-	writeError(w, http.StatusInternalServerError, "%v", err)
+	writeError(w, requestStatus(err), "%v", err)
 }
 
-// resolveGraph materializes a request's graph. Stored graphs come out of
-// the store with their content digest for free (the id is the digest,
-// verified at upload); inline graphs return digest "" and handlePartition
-// hashes them lazily if a key is needed.
-func (s *Server) resolveGraph(spec GraphSpec) (*graph.Graph, string, error) {
-	hasInline := spec.METIS != "" || spec.N != 0 || len(spec.Edges) != 0 || len(spec.VertexWeights) != 0
-	if spec.ID != "" && !hasInline {
-		g, ok := s.store.Get(spec.ID)
-		if !ok {
-			return nil, "", notFoundf("unknown graph id %q (never uploaded, evicted, or deleted)", spec.ID)
-		}
-		return g, spec.ID, nil
+// requestStatus is the HTTP status of a codec error.
+func requestStatus(err error) int {
+	var bad *badRequestError
+	if errors.As(err, &bad) {
+		return http.StatusBadRequest
 	}
-	g, err := decodeGraph(spec, s.cfg.MaxBodyBytes) // also rejects id + inline content
-	if err != nil {
-		return nil, "", err
-	}
-	return g, "", nil
+	return http.StatusInternalServerError
 }
 
 // writeJobOutcome renders a finished job.
